@@ -29,7 +29,7 @@ def main():
 
     mem = membership_check(model, count=5000, seed=1)
     print("membership mismatches:", len(mem.mismatches),
-          "of", mem.points, "points")
+          "of", mem.count, "points")
 
 
 if __name__ == "__main__":

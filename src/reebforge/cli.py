@@ -33,7 +33,7 @@ from .poly import (SurfaceModel, expand, nonsingular_extension,
                    region_polynomial, render_text)
 from .poly import synthesize as synthesize_model
 from .svgplot import arrangement_svg
-from .sweep import euler_check, fiber_counts_check, sweep_reeb, verify_morse
+from .sweep import sweep_reeb, verify_morse
 
 PRECISION_ENV = "REEBFORGE_PRECISION"
 
@@ -81,12 +81,17 @@ def _load_model(path: str) -> SurfaceModel:
 
 
 def _certificate(model: SurfaceModel):
-    """Run every internal certification pass and collect the evidence."""
+    """Certify the model's arrangement and collect the evidence.
+
+    Disjointness is certified first.  Then one certified sweep pass,
+    `verify_morse`, makes every crossing decision; the Reeb graph (checked
+    against the spec), the Euler report of a surface and the fibre table of
+    a circle arrangement are all read from its certificate."""
     vspec = model.spec
     arr = model.arrangement
     dis = certify_disjointness(arr)
     morse = verify_morse(arr)
-    result = sweep_reeb(arr, vspec.dimension)
+    result = morse.reeb_graph(vspec.dimension)
     same = (reeb_isomorphic(vspec, result) if vspec.mode == "circle"
             else path_isomorphic(vspec, result))
     if not same:
@@ -105,9 +110,9 @@ def _certificate(model: SurfaceModel):
         "isomorphic_to_spec": True,
     }
     if vspec.dimension == 2:
-        cert["euler"] = euler_check(arr, vspec.dimension).to_json()
+        cert["euler"] = morse.euler_report().to_json()
     if arr.mode == "circle" and arr.k:
-        cert["fibers"] = fiber_counts_check(arr, vspec).to_json()
+        cert["fibers"] = morse.fiber_table(vspec).to_json()
     return cert, result
 
 

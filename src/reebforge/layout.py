@@ -127,33 +127,14 @@ class CircleArrangement:
         t = Fraction(j, self.k)
         return t - (t.numerator // t.denominator)
 
-    def sector_circles(self, sector: int) -> list[PlacedCircle]:
-        return [c for c in self.circles if c.sector == sector]
-
     def removed_circles(self) -> list[PlacedCircle]:
         return [c for c in self.circles if c.role.kind == "removed"]
-
-    def handle_circles(self) -> list[PlacedCircle]:
-        return [c for c in self.circles if c.role.kind == "handle"]
 
     def radius_bounds(self, circle: PlacedCircle) -> tuple[Fraction, Fraction]:
         if circle.radius is not None:
             return circle.radius, circle.radius
         s_lo, s_hi = sin_half_sector_bounds(self.k)
         return circle.d * s_lo, circle.d * s_hi
-
-    def center_interval(self, circle: PlacedCircle):
-        """Interval enclosure of the center at the current iv precision."""
-        if circle.center is not None:
-            return (to_interval(circle.center[0]), to_interval(circle.center[1]))
-        sin_t, cos_t = turn_sin_cos(self.bisector_turn(circle.sector))
-        d = to_interval(circle.d)
-        return (d * cos_t, d * sin_t)
-
-    def radius_interval(self, circle: PlacedCircle):
-        if circle.radius is not None:
-            return to_interval(circle.radius)
-        return to_interval(circle.d) * iv.sin(iv.pi / self.k)
 
     # -- serialisation -------------------------------------------------------
 
@@ -376,12 +357,6 @@ def build_arrangement(spec: ValidatedSpec) -> CircleArrangement:
             t = (1 - chosen).denominator.bit_length()
             chosen = 1 - Fraction(1, 1 << t)
     raise PackingFailure("no annulus halfwidth accommodated the spec")
-
-
-def place_handle_circles(spec: ValidatedSpec) -> list[PlacedCircle]:
-    """Just the handle-role circles of the full arrangement, radially
-    interleaved so each sits in the annular band of its edge channel."""
-    return list(build_arrangement(spec).handle_circles())
 
 
 # ---------------------------------------------------------------------------
@@ -619,26 +594,3 @@ def tangency_events(arr: CircleArrangement) -> tuple[TangencyEvent, ...]:
                     foot_lo=wall, foot_hi=wall))
     events.sort(key=lambda e: (e.turn.turns, e.foot_lo, e.circle_index))
     return tuple(events)
-
-
-def check_tangency_identity(arr: CircleArrangement,
-                            bits: Optional[int] = None) -> Fraction:
-    """Cross-check that each claimed tangency angle is numerically tangent:
-    the distance from the circle centre to the boundary ray equals the
-    radius.  Returns the largest certified deviation (should be at the scale
-    of interval widths)."""
-    if arr.mode != "circle" or not arr.circles:
-        return Fraction(0)
-    bits = bits or arr.precision_bits
-    worst = Fraction(0)
-    with interval_precision(bits):
-        for c in arr.circles:
-            for boundary in (c.sector, c.sector + 1):
-                dt = arr.bisector_turn(c.sector) - Fraction(boundary, arr.k)
-                sin_dt, _ = turn_sin_cos(dt)
-                line_dist = to_interval(c.d) * abs(sin_dt)
-                radius = arr.radius_interval(c)
-                gap = line_dist - radius
-                mag = max(abs(interval_inf(gap)), abs(interval_sup(gap)))
-                worst = max(worst, mag)
-    return worst

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 from mpmath import iv, mp
@@ -284,17 +284,6 @@ class BoxArray:
 
     def __repr__(self):
         return "BoxArray(%r, %r)" % (self.lo, self.hi)
-
-
-def boxes_all_exclude_zero(components: Iterable[BoxArray]) -> np.ndarray:
-    """Pointwise test that at least one component interval excludes zero."""
-    result = None
-    for comp in components:
-        flag = comp.excludes_zero()
-        result = flag if result is None else (result | flag)
-    if result is None:
-        raise ValueError("no components supplied")
-    return result
 
 
 def decimal_string(x, digits: int) -> str:

@@ -20,6 +20,7 @@ float64 arrays, outward-rounded interval arrays, and mpmath intervals.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +60,7 @@ from .numbers import (
 )
 
 EXPANSION_GUARD = 10 ** 6
+DOUBLE_MAX = Fraction(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,15 @@ class Factor:
         )
 
 
+def _check_height(height: Fraction, where: str) -> None:
+    """Float and box evaluation lift an ellipsoid's transverse weight
+    1/h^2 to a double; raise HeightFailure, naming `where`, unless it is a
+    finite one."""
+    if not (height > 0 and 1 / height ** 2 < DOUBLE_MAX):
+        raise HeightFailure("%s: height %.3g leaves 1/h^2 outside the "
+                            "double range" % (where, height))
+
+
 @dataclass(frozen=True)
 class Stage:
     factors: tuple[Factor, ...]
@@ -144,14 +155,6 @@ class FactoredPolynomial:
     @property
     def planar_factors(self) -> tuple[Factor, ...]:
         return self.stages[0].factors
-
-    @property
-    def ellipsoid_stages(self) -> tuple[tuple[Factor, ...], ...]:
-        return tuple(s.factors for s in self.stages[1:])
-
-    @property
-    def us_deficits(self) -> tuple[int, ...]:
-        return tuple(len(s.deficit_vars) for s in self.stages if s.deficit_vars)
 
     def factor_count(self) -> int:
         return sum(len(s.factors) for s in self.stages)
@@ -173,6 +176,11 @@ class FactoredPolynomial:
                   tuple(int(i) for i in s["deficit_vars"]))
             for s in data["stages"]
         )
+        for s, stage in enumerate(stages):
+            for i, f in enumerate(stage.factors):
+                if f.height is not None:
+                    _check_height(f.height, "polynomial stage %d factor %d"
+                                  % (s, i))
         return FactoredPolynomial(int(data["variables"]), stages)
 
 
@@ -639,6 +647,8 @@ def synthesize(spec: ValidatedSpec) -> SurfaceModel:
                     h = cap / 16
                 site = None
                 for _ in range(12):
+                    _check_height(h, "ellipsoid at sector %d stage %d"
+                                  % (circle.sector, stage))
                     candidate = Factor(
                         kind="ellipsoid", d=circle.d,
                         turn=arr.bisector_turn(circle.sector),

@@ -1,4 +1,4 @@
-"""Reeb graph extraction by exact event sweep.
+"""Reeb graph extraction by one certified event sweep.
 
 The composed Morse function on the constructed hypersurface has its level
 components in bijection with the connected components of region-and-ray
@@ -9,18 +9,29 @@ vertex angle every circle of the two adjacent sectors is tangent to the ray,
 the open disks miss it, and the level set is a single interval, which is the
 merge event that produces the graph vertex.
 
+``verify_morse`` is the one certified pass over an arrangement: it lists the
+tangency events, reads each sector's bands (removed chords and the handle
+circles of each channel) and certifies the channel counts on the sector
+bisectors and the single intervals at the vertex angles (in line mode: the
+chord counts on the strip midlines and the tangencies at the walls).  Its
+``SweepCertificate`` keeps all of this; the Reeb graph, the Euler report and
+the fibre table are read from it without another crossing decision.
+``sweep_reeb``, ``euler_check`` and ``fiber_counts_check`` run the pass and
+derive one of them.  A vertex angle without a tangency is recorded by the
+pass and raised by ``verify_morse`` alone.
+
 All crossing decisions are certified.  A ray at turn offset dt from a
 circle's bisector crosses the circle exactly when |sin(2 pi dt)| < sin(pi/k)
-and cos(2 pi dt) > 0; the test is scale-free, so one interval certificate
-per distinct (dt, k) covers every circle.  Offsets of exactly half a sector
-are structural tangencies and are never decided numerically.
+and cos(2 pi dt) > 0; the test is scale-free.  Every swept ray lies at a
+vertex angle or a sector bisector, so dt = h/(2k) for an integer h, and a
+pass makes one interval certificate per distinct h.  Offsets of exactly
+half a sector are structural tangencies and are never decided numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from mpmath import iv
@@ -130,24 +141,54 @@ class ReebGraphResult:
                                tuple(vertices), edges, mode)
 
 
+@dataclass(frozen=True)
+class EulerReport:
+    chi_from_saddles: int
+    chi_from_region: int
+    genus: int
+
+    @property
+    def chi(self) -> int:
+        return self.chi_from_saddles
+
+    def to_json(self) -> dict:
+        return {"chi_from_saddles": self.chi_from_saddles,
+                "chi_from_region": self.chi_from_region,
+                "genus": self.genus}
+
+
+@dataclass(frozen=True)
+class FiberRow:
+    sector: int
+    channel: int
+    counts: tuple[int, ...]
+    word: str
+    sample_angle: str
+
+    def to_json(self) -> dict:
+        return {"sector": self.sector, "channel": self.channel,
+                "counts": list(self.counts), "word": self.word,
+                "sample_angle": self.sample_angle}
+
+
+@dataclass(frozen=True)
+class FiberTable:
+    rows: tuple[FiberRow, ...]
+
+    def to_json(self) -> dict:
+        return {"rows": [r.to_json() for r in self.rows]}
+
+
 # ---------------------------------------------------------------------------
 # certified crossing predicate
 # ---------------------------------------------------------------------------
 
-def _normalize_offset(dt: Fraction) -> Fraction:
-    dt = dt - (dt.numerator // dt.denominator)
-    if dt > Fraction(1, 2):
-        dt -= 1
-    return dt
-
-
-@lru_cache(maxsize=None)
 def _crossing_state(dt: Fraction, k: int, bits: int) -> str:
-    """'hit', 'miss', or 'tangent' for a ray at turn offset dt from the
-    bisector of a circle tangent to both rays of a sector of k.  Scale-free:
-    the circle's radius is d*sin(pi/k) at center distance d, so the ray-line
-    distance d*|sin(2 pi dt)| compares to the radius independently of d."""
-    dt = _normalize_offset(dt)
+    """'hit', 'miss', or 'tangent' for a ray at turn offset dt, in
+    (-1/2, 1/2], from the bisector of a circle tangent to both rays of a
+    sector of k.  Scale-free: the circle's radius is d*sin(pi/k) at center
+    distance d, so the ray-line distance d*|sin(2 pi dt)| compares to the
+    radius independently of d."""
     if abs(dt) == Fraction(1, 2 * k):
         return "tangent"
     with interval_precision(bits):
@@ -162,10 +203,20 @@ def _crossing_state(dt: Fraction, k: int, bits: int) -> str:
         "crossing of ray at offset %s of a turn undecided for k=%d" % (dt, k))
 
 
-def _ray_crossing(arr: CircleArrangement, theta: Fraction, circle_index: int) -> str:
-    circle = arr.circles[circle_index]
-    dt = theta - arr.bisector_turn(circle.sector)
-    return _crossing_state(dt, arr.k, arr.precision_bits)
+def _ray_crossing(arr: CircleArrangement, ray: int, circle_index: int,
+                  decisions: dict[int, str]) -> str:
+    """Crossing state of the ray at turn ray/(2k) and one circle.  The ray
+    sits h half-sectors from the circle's bisector, (2*sector+1)/(2k), and
+    `decisions` holds the pass's certificate for each h it has met."""
+    two_k = 2 * arr.k
+    h = (ray - 2 * arr.circles[circle_index].sector - 1) % two_k
+    if h > arr.k:
+        h -= two_k
+    state = decisions.get(h)
+    if state is None:
+        state = decisions[h] = _crossing_state(Fraction(h, two_k), arr.k,
+                                               arr.precision_bits)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +253,15 @@ def _sector_bands(arr: CircleArrangement, sector: int) -> SectorBands:
                        tuple(tuple(b) for b in buckets), len(removed) + 1)
 
 
-def _certified_channel_count(arr: CircleArrangement, sector: int,
-                             bands: SectorBands) -> int:
+def _certified_channel_count(arr: CircleArrangement, bands: SectorBands,
+                             decisions: dict[int, str]) -> int:
     """Count region intervals on the bisector ray of a sector: one more than
     the removed chords it crosses.  Every crossing decision is certified and
     cross-checked against the sector attribution of the circles."""
-    theta = arr.bisector_turn(sector)
+    sector = bands.sector
     hits = 0
     for i, c in enumerate(arr.circles):
-        state = _ray_crossing(arr, theta, i)
+        state = _ray_crossing(arr, 2 * sector + 1, i, decisions)
         if state == "tangent":
             raise DegenerateEvent(
                 "structural tangency on a bisector ray in sector %d" % sector)
@@ -227,15 +278,33 @@ def _certified_channel_count(arr: CircleArrangement, sector: int,
     return hits + 1
 
 
-def _certify_single_interval(arr: CircleArrangement, theta: Fraction) -> None:
-    """At a vertex angle the adjacent circles only touch the ray, so no open
+def _certify_single_interval(arr: CircleArrangement, j: int,
+                             decisions: dict[int, str]) -> None:
+    """At vertex angle j the adjacent circles only touch the ray, so no open
     disk removes anything: the level set must be one interval."""
     for i, c in enumerate(arr.circles):
-        state = _ray_crossing(arr, theta, i)
+        state = _ray_crossing(arr, 2 * j, i, decisions)
         if state == "hit" and c.role.kind == "removed":
             raise DegenerateEvent(
                 "removed disk %d still crosses the ray at %s of a turn"
-                % (i, theta))
+                % (i, arr.vertex_turn(j)))
+
+
+def _line_counts(arr: CircleArrangement, strip: int) -> int:
+    """Region intervals on the vertical line at a strip's midpoint: one more
+    than the removed chords it crosses; exact rational comparisons."""
+    mid = (arr.abscissae[strip - 1] + arr.abscissae[strip]) / 2
+    hits = 0
+    for i, c in enumerate(arr.circles):
+        gap = abs(mid - c.center[0])
+        if gap == c.radius:
+            raise DegenerateEvent("tangency on a strip midline")
+        if (gap < c.radius) != (c.sector == strip):
+            raise DegenerateEvent("crossing disagrees with strip attribution "
+                                  "for circle %d at the strip-%d midline"
+                                  % (i, strip))
+        hits += gap < c.radius
+    return hits + 1
 
 
 def _stage_counts(arr: CircleArrangement, circle_indices: tuple[int, ...],
@@ -253,128 +322,30 @@ def _stage_counts(arr: CircleArrangement, circle_indices: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# the sweep
-# ---------------------------------------------------------------------------
-
-def sweep_reeb(arr: CircleArrangement, dimension: int = 2) -> ReebGraphResult:
-    """Extract the Reeb graph of the angular (circle mode) or abscissa
-    (line mode) function from a certified arrangement."""
-    if arr.mode == "line":
-        return _sweep_line(arr, dimension)
-
-    events = tangency_events(arr)
-    if not events:
-        return ReebGraphResult(no_vertex_circle=True, vertices=(), edges=())
-
-    k = arr.k
-    bands = {j: _sector_bands(arr, j) for j in range(1, k + 1)}
-    counts = {j: _certified_channel_count(arr, j, bands[j])
-              for j in range(1, k + 1)}
-
-    vertex_turns = sorted({e.turn.turns for e in events})
-    for t in vertex_turns:
-        _certify_single_interval(arr, t)
-
-    def sector_after(turn: Fraction) -> int:
-        j = int(turn * k) % k
-        return k if j == 0 else j
-
-    vertices = []
-    for t in vertex_turns:
-        right = sector_after(t)
-        left = right - 1 if right > 1 else k
-        vertices.append(ReebVertex(left_channels=counts[left],
-                                   right_channels=counts[right],
-                                   angle=TurnAngle(t)))
-
-    edges = []
-    n_v = len(vertex_turns)
-    for vi, t in enumerate(vertex_turns):
-        target = (vi + 1) % n_v
-        sector = sector_after(t)
-        for index in range(1, counts[sector] + 1):
-            word = fiber_word(dimension, _stage_counts(
-                arr, bands[sector].handle_channels[index - 1], dimension))
-            edges.append(ReebEdge(channel=(sector, index), source=vi,
-                                  target=target, fiber=word))
-    return ReebGraphResult(no_vertex_circle=False, vertices=tuple(vertices),
-                           edges=tuple(edges))
-
-
-def _line_counts(arr: CircleArrangement, strip: int) -> tuple[int, list]:
-    """Removed chords crossed by the vertical line at a strip's midpoint;
-    exact rational comparisons throughout."""
-    mid = (arr.abscissae[strip - 1] + arr.abscissae[strip]) / 2
-    chords = []
-    for i, c in enumerate(arr.circles):
-        gap = abs(mid - c.center[0])
-        if gap == c.radius:
-            raise DegenerateEvent("tangency on a strip midline")
-        if gap < c.radius:
-            if c.sector != strip:
-                raise DegenerateEvent("crossing disagrees with strip "
-                                      "attribution for circle %d" % i)
-            chords.append((c.center[1], i))
-        elif c.sector == strip:
-            raise DegenerateEvent("strip-%d circle misses its own midline"
-                                  % strip)
-    chords.sort()
-    return len(chords) + 1, chords
-
-
-def _sweep_line(arr: CircleArrangement, dimension: int) -> ReebGraphResult:
-    strips = arr.k
-    counts = {}
-    chords = {}
-    for j in range(1, strips + 1):
-        counts[j], chords[j] = _line_counts(arr, j)
-
-    # interior walls are vertices when some adjacent circle touches them;
-    # the two ellipse folds are always singular
-    def wall_has_event(j: int) -> bool:
-        wall = arr.abscissae[j - 1]
-        for c in arr.circles:
-            gap = abs(wall - c.center[0])
-            if gap < c.radius:
-                raise DegenerateEvent("removed disk crosses a wall")
-            if gap == c.radius:
-                return True
-        return False
-
-    vertex_walls = [1]
-    vertex_walls.extend(j for j in range(2, strips + 1) if wall_has_event(j))
-    vertex_walls.append(strips + 1)
-
-    vertices = []
-    for wall in vertex_walls:
-        left = counts[wall - 1] if wall > 1 else 0
-        right = counts[wall] if wall <= strips else 0
-        vertices.append(ReebVertex(left_channels=left, right_channels=right,
-                                   abscissa=arr.abscissae[wall - 1]))
-
-    edges = []
-    for pos in range(len(vertex_walls) - 1):
-        strip = vertex_walls[pos]
-        for index in range(1, counts[strip] + 1):
-            edges.append(ReebEdge(channel=(strip, index), source=pos,
-                                  target=pos + 1,
-                                  fiber=fiber_word(dimension, ())))
-    return ReebGraphResult(no_vertex_circle=False, vertices=tuple(vertices),
-                           edges=tuple(edges), mode="line")
-
-
-# ---------------------------------------------------------------------------
-# certificates
+# the certified pass and what is derived from it
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepCertificate:
+    """Everything one certified pass decided about an arrangement.
+
+    ``to_json`` reports the Morse data.  The graph, the Euler report and the
+    fibre table are derived from the other fields without deciding another
+    crossing."""
+
     events: tuple[TangencyEvent, ...]
     saddle_count: int
     handle_event_count: int
     sector_channel_counts: tuple[int, ...]
     vertices_single_interval: bool
     folds_nondegenerate: bool
+    arrangement: CircleArrangement
+    bands: tuple[SectorBands, ...]          # per sector; empty in line mode
+    # singular positions in sweep order: vertex angles j (turn j/k) that
+    # carry a tangency, or walls j (at abscissae[j - 1]) with both ends
+    vertex_indices: tuple[int, ...]
+    # first vertex angle or interior wall without a tangency
+    missing_angle: Optional[int]
 
     def to_json(self) -> dict:
         return {
@@ -386,111 +357,175 @@ class SweepCertificate:
             "folds_nondegenerate": self.folds_nondegenerate,
         }
 
+    def _channels(self, j: int) -> int:
+        """Channel count of sector j, cyclically, or of strip j (0 beyond
+        the two ends)."""
+        arr, counts = self.arrangement, self.sector_channel_counts
+        if arr.mode == "circle":
+            return counts[(j - 1) % arr.k]
+        return counts[j - 1] if 1 <= j <= arr.k else 0
 
-def verify_morse(arr: CircleArrangement) -> SweepCertificate:
-    """Certify the Morse data of the arrangement's sweep: both tangencies of
-    every circle are nondegenerate folds (the origin, respectively the strip
-    walls, lie strictly off the circle), every vertex angle carries at least
-    one tangency, and the saddle count matches the removed-disk count."""
+    def reeb_graph(self, dimension: int = 2) -> ReebGraphResult:
+        """The Reeb graph of the angular (circle mode) or abscissa (line
+        mode) function."""
+        arr = self.arrangement
+        line = arr.mode == "line"
+        if not line and not self.events:
+            return ReebGraphResult(no_vertex_circle=True, vertices=(), edges=())
+        vertices = tuple(
+            ReebVertex(left_channels=self._channels(j - 1),
+                       right_channels=self._channels(j),
+                       angle=None if line else TurnAngle(arr.vertex_turn(j)),
+                       abscissa=arr.abscissae[j - 1] if line else None)
+            for j in self.vertex_indices)
+        edges = []
+        for pos, j in enumerate(self.vertex_indices):
+            for index in range(1, self._channels(j) + 1):
+                stages = () if line else _stage_counts(
+                    arr, self.bands[j - 1].handle_channels[index - 1],
+                    dimension)
+                edges.append(ReebEdge(channel=(j, index), source=pos,
+                                      target=(pos + 1) % len(vertices),
+                                      fiber=fiber_word(dimension, stages)))
+        return ReebGraphResult(no_vertex_circle=False, vertices=vertices,
+                               edges=tuple(edges), mode=arr.mode)
+
+    def euler_report(self, dimension: int = 2) -> EulerReport:
+        """Euler characteristic of the constructed surface two ways: Morse
+        counting of the sweep events against doubling of the planar region's
+        characteristic.  Surface case only."""
+        if dimension != 2:
+            raise ValueError("Euler bookkeeping is defined for surfaces")
+        arr = self.arrangement
+        removed = len([c for c in arr.circles if c.role.kind == "removed"])
+        if arr.mode == "circle":
+            chi_sweep = -self.saddle_count
+            chi_region = 2 * (0 - removed)       # annulus minus holes, doubled
+            genus = 1 + removed
+        else:
+            chi_sweep = 2 - self.saddle_count    # two ellipse folds
+            chi_region = 2 * (1 - removed)       # disk minus holes, doubled
+            genus = removed
+        if chi_sweep != chi_region:
+            raise EulerMismatch("saddle count gives chi=%d, region doubling "
+                                "gives chi=%d" % (chi_sweep, chi_region))
+        return EulerReport(chi_from_saddles=chi_sweep,
+                           chi_from_region=chi_region, genus=genus)
+
+    def fiber_table(self, spec: ValidatedSpec) -> FiberTable:
+        """Handle-circle chords per edge channel at each sector's bisector,
+        compared with the spec's handle sequences, with the connected-sum
+        words as fiber metadata."""
+        arr = self.arrangement
+        if arr.mode != "circle":
+            raise ValueError("fiber counting applies to circle arrangements")
+        rows = []
+        for bands in self.bands:
+            j = bands.sector
+            if bands.channels != spec.edge_multiplicity(j):
+                raise CountMismatch("sector %d shows %d channels, spec says %d"
+                                    % (j, bands.channels,
+                                       spec.edge_multiplicity(j)))
+            for channel in range(1, bands.channels + 1):
+                got = tuple(_stage_counts(
+                    arr, bands.handle_channels[channel - 1], spec.dimension))
+                want = spec.handle_sequence(j, channel)
+                if len(want) < len(got):
+                    want = want + (0,) * (len(got) - len(want))
+                if got != want:
+                    raise CountMismatch(
+                        "channel (%d,%d) counts %s, spec says %s"
+                        % (j, channel, got, want))
+                rows.append(FiberRow(
+                    sector=j, channel=channel, counts=got,
+                    word=fiber_word(spec.dimension, got),
+                    sample_angle=TurnAngle(arr.bisector_turn(j)).label()))
+        return FiberTable(rows=tuple(rows))
+
+
+def _sweep_pass(arr: CircleArrangement) -> SweepCertificate:
+    """The certified sweep behind ``verify_morse``, which records rather
+    than raises a vertex angle or wall without a tangency and a circle
+    around the origin."""
     events = tangency_events(arr)
-    saddles = sum(1 for e in events if e.role.kind == "removed")
-    handle_events = sum(1 for e in events if e.role.kind == "handle")
-
+    k = arr.k
+    missing = None
+    folds = True
+    bands: tuple[SectorBands, ...] = ()
     if arr.mode == "circle":
-        s_hi = sin_half_sector_bounds(arr.k)[1] if arr.k else None
-        for c in arr.circles:
+        if k:
             # center distance exceeds the radius: d > d*sin(pi/k)
-            if not c.d * (1 - s_hi) > 0:
-                raise DegenerateEvent("circle surrounds the origin")
+            s_hi = sin_half_sector_bounds(k)[1]
+            folds = all(c.d * (1 - s_hi) > 0 for c in arr.circles)
         event_turns = {e.turn.turns for e in events}
-        for j in range(1, arr.k + 1):
-            t = arr.vertex_turn(j)
-            if t not in event_turns:
-                raise MissingSingularAngle(j)
-            _certify_single_interval(arr, t)
-        sector_counts = tuple(
-            _certified_channel_count(arr, j, _sector_bands(arr, j))
-            for j in range(1, arr.k + 1))
+        decisions: dict[int, str] = {}
+        vertices = []
+        for j in range(1, k + 1):
+            if arr.vertex_turn(j) in event_turns:
+                _certify_single_interval(arr, j, decisions)
+                vertices.append(j)
+            elif missing is None:
+                missing = j
+        vertices.sort(key=arr.vertex_turn)
+        bands = tuple(_sector_bands(arr, j) for j in range(1, k + 1))
+        counts = tuple(_certified_channel_count(arr, b, decisions)
+                       for b in bands)
     else:
-        for j in range(2, arr.k + 1):
-            wall = arr.abscissae[j - 1]
-            if not any(abs(wall - c.center[0]) == c.radius
-                       for c in arr.circles):
-                raise MissingSingularAngle(j)
-        sector_counts = tuple(_line_counts(arr, j)[0]
-                              for j in range(1, arr.k + 1))
-
-    if saddles != 2 * len([c for c in arr.circles if c.role.kind == "removed"]):
-        raise DegenerateEvent("saddle bookkeeping drifted")
+        counts = tuple(_line_counts(arr, j) for j in range(1, k + 1))
+        # the two ellipse folds are always singular; an interior wall is
+        # singular when a circle touches it, and no removed disk may cross it
+        vertices = [1]
+        for j in range(2, k + 1):
+            gaps = [abs(arr.abscissae[j - 1] - c.center[0]) - c.radius
+                    for c in arr.circles]
+            if any(g < 0 for g in gaps):
+                raise DegenerateEvent("removed disk crosses wall %d" % j)
+            if 0 in gaps:
+                vertices.append(j)
+            elif missing is None:
+                missing = j
+        vertices.append(k + 1)
     return SweepCertificate(
         events=events,
-        saddle_count=saddles,
-        handle_event_count=handle_events,
-        sector_channel_counts=sector_counts,
+        saddle_count=sum(1 for e in events if e.role.kind == "removed"),
+        handle_event_count=sum(1 for e in events if e.role.kind == "handle"),
+        sector_channel_counts=counts,
         vertices_single_interval=True,
-        folds_nondegenerate=True,
+        folds_nondegenerate=folds,
+        arrangement=arr,
+        bands=bands,
+        vertex_indices=tuple(vertices),
+        missing_angle=missing,
     )
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    chi_from_saddles: int
-    chi_from_region: int
-    genus: int
+def verify_morse(arr: CircleArrangement) -> SweepCertificate:
+    """The certified sweep pass, with its Morse data checked: both
+    tangencies of every circle are nondegenerate folds (the origin,
+    respectively the strip walls, lie strictly off the circle), every vertex
+    angle carries at least one tangency, and the saddle count matches the
+    removed-disk count."""
+    cert = _sweep_pass(arr)
+    if not cert.folds_nondegenerate:
+        raise DegenerateEvent("circle surrounds the origin")
+    if cert.missing_angle is not None:
+        raise MissingSingularAngle(cert.missing_angle)
+    if cert.saddle_count != 2 * len(
+            [c for c in arr.circles if c.role.kind == "removed"]):
+        raise DegenerateEvent("saddle bookkeeping drifted")
+    return cert
 
-    @property
-    def chi(self) -> int:
-        return self.chi_from_saddles
 
-    def to_json(self) -> dict:
-        return {"chi_from_saddles": self.chi_from_saddles,
-                "chi_from_region": self.chi_from_region,
-                "genus": self.genus}
+def sweep_reeb(arr: CircleArrangement, dimension: int = 2) -> ReebGraphResult:
+    """Extract the Reeb graph of the angular (circle mode) or abscissa
+    (line mode) function from a certified arrangement."""
+    return _sweep_pass(arr).reeb_graph(dimension)
 
 
 def euler_check(arr: CircleArrangement, dimension: int = 2) -> EulerReport:
-    """Euler characteristic of the constructed surface two ways: Morse
-    counting of the sweep events against doubling of the planar region's
-    characteristic.  Surface case only."""
-    if dimension != 2:
-        raise ValueError("Euler bookkeeping is defined for surfaces")
-    removed = len([c for c in arr.circles if c.role.kind == "removed"])
-    cert = verify_morse(arr)
-    if arr.mode == "circle":
-        chi_sweep = -cert.saddle_count
-        chi_region = 2 * (0 - removed)       # annulus minus holes, doubled
-        genus = 1 + removed
-    else:
-        chi_sweep = 2 - cert.saddle_count    # two ellipse folds
-        chi_region = 2 * (1 - removed)       # disk minus holes, doubled
-        genus = removed
-    if chi_sweep != chi_region:
-        raise EulerMismatch("saddle count gives chi=%d, region doubling "
-                            "gives chi=%d" % (chi_sweep, chi_region))
-    return EulerReport(chi_from_saddles=chi_sweep,
-                       chi_from_region=chi_region, genus=genus)
-
-
-@dataclass(frozen=True)
-class FiberRow:
-    sector: int
-    channel: int
-    counts: tuple[int, ...]
-    word: str
-    sample_angle: str
-
-    def to_json(self) -> dict:
-        return {"sector": self.sector, "channel": self.channel,
-                "counts": list(self.counts), "word": self.word,
-                "sample_angle": self.sample_angle}
-
-
-@dataclass(frozen=True)
-class FiberTable:
-    rows: tuple[FiberRow, ...]
-
-    def to_json(self) -> dict:
-        return {"rows": [r.to_json() for r in self.rows]}
+    """Euler characteristic two ways over a Morse-verified sweep; see
+    ``SweepCertificate.euler_report``.  Surface case only."""
+    return verify_morse(arr).euler_report(dimension)
 
 
 def fiber_counts_check(arr: CircleArrangement,
@@ -498,27 +533,4 @@ def fiber_counts_check(arr: CircleArrangement,
     """Count handle-circle chords per edge channel at each sector's bisector
     and compare with the spec's handle sequences; emit the connected-sum
     words as fiber metadata."""
-    if arr.mode != "circle":
-        raise ValueError("fiber counting applies to circle arrangements")
-    rows = []
-    for j in range(1, arr.k + 1):
-        bands = _sector_bands(arr, j)
-        _certified_channel_count(arr, j, bands)
-        if bands.channels != spec.edge_multiplicity(j):
-            raise CountMismatch("sector %d shows %d channels, spec says %d"
-                                % (j, bands.channels, spec.edge_multiplicity(j)))
-        for channel in range(1, bands.channels + 1):
-            got = tuple(_stage_counts(arr, bands.handle_channels[channel - 1],
-                                      spec.dimension))
-            want = spec.handle_sequence(j, channel)
-            if len(want) < len(got):
-                want = want + (0,) * (len(got) - len(want))
-            if got != want:
-                raise CountMismatch(
-                    "channel (%d,%d) counts %s, spec says %s"
-                    % (j, channel, got, want))
-            rows.append(FiberRow(
-                sector=j, channel=channel, counts=got,
-                word=fiber_word(spec.dimension, got),
-                sample_angle=TurnAngle(arr.bisector_turn(j)).label()))
-    return FiberTable(rows=tuple(rows))
+    return _sweep_pass(arr).fiber_table(spec)

@@ -93,6 +93,20 @@ class TestSynthesize:
         assert code == 3
         assert "packing failed" in capsys.readouterr().err
 
+    def test_height_outside_double_range_is_exit_four(self, tmp_path,
+                                                      capsys):
+        # the height cap and the halvings drive 1/h^2 past the largest
+        # double at the fourth stage
+        spec = spec_file(tmp_path, mults=(2, 2, 2, 2), dimension=13,
+                         handles=[{"edge": [1, 1], "sequence": [3] * 6},
+                                  {"edge": [2, 2], "sequence": [3] * 6}])
+        code = main(["synthesize", "--spec", str(spec), "--out",
+                     str(tmp_path / "o")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "certification failed: ellipsoid at sector" in err
+        assert "stage" in err and "double range" in err
+
 
 class TestVerify:
     def test_clean_model_verifies(self, tmp_path):
@@ -124,6 +138,25 @@ class TestVerify:
         write_json(path, data)
         assert main(["verify", "--model", str(path),
                      "--points", "2000"]) == 4
+
+    def test_tampered_height_outside_double_range(self, tmp_path, capsys):
+        out = synthesized(tmp_path, dimension=5,
+                          handles=[{"edge": [1, 1], "sequence": [1, 0]}])
+        path = out / "model.json"
+        data = json.loads(path.read_text())
+        tiny = "1/%d" % 2 ** 600
+        for stage in data["polynomial"]["stages"]:
+            for factor in stage["factors"]:
+                if "height" in factor:
+                    factor["height"] = tiny
+        for site in data["sites"]:
+            site["factor"]["height"] = tiny
+        write_json(path, data)
+        code = main(["verify", "--model", str(path), "--points", "2000"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "polynomial stage 1 factor 0" in err
+        assert "double range" in err
 
     def test_tampered_factor_scale(self, tmp_path):
         out = synthesized(tmp_path)

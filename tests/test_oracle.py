@@ -39,6 +39,17 @@ class TestBruteOracle:
         sampled = brute_oracle_reeb(model.arrangement, 512, 256)
         assert results_match(swept, sampled)
 
+    @pytest.mark.parametrize("mults,resolution", [
+        ((3, 1, 2, 1), (512, 256)),
+        ((2, 3, 4, 2, 3), (512, 256)),
+        ((4, 4, 4), (512, 256)),
+        ((6, 1, 6), (2048, 512)),
+    ], ids=["3121", "23423", "444", "616"])
+    def test_agrees_with_sweep_beyond_corpus(self, mults, resolution):
+        arr = build_arrangement(validated(circle_spec(mults)))
+        swept = smooth_degree_two(sweep_reeb(arr, 2))
+        assert results_match(swept, brute_oracle_reeb(arr, *resolution))
+
     def test_sampled_graph_reports_no_angles(self):
         arr = build_arrangement(validated(circle_spec((2, 2, 1))))
         sampled = brute_oracle_reeb(arr, 512, 256)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reebforge import (CountMismatch, MissingSingularAngle, build_arrangement,
-                       euler_check, fiber_counts_check, path_isomorphic,
-                       reeb_isomorphic, sweep_reeb, validated, verify_morse)
+                       cli, euler_check, fiber_counts_check, path_isomorphic,
+                       reeb_isomorphic, sweep, sweep_reeb, synthesize,
+                       validated, verify_morse)
 from reebforge.sweep import ReebGraphResult
 from conftest import HANDLE_CORPUS, NAMED_CORPUS, circle_spec, line_spec, \
     torus_spec
@@ -106,6 +107,8 @@ class TestVerifyMorse:
         with pytest.raises(MissingSingularAngle) as exc:
             verify_morse(bare)
         assert exc.value.vertex_index == 2
+        # the pass records the missing angle; only verify_morse raises
+        assert len(sweep_reeb(bare, 5).vertices) == 2
 
     def test_line_events_sit_on_interior_walls(self):
         v = validated(line_spec((1, 3, 1)))
@@ -114,6 +117,22 @@ class TestVerifyMorse:
         assert cert.saddle_count == 4
         feet = {e.foot_lo for e in cert.events}
         assert feet == {Fraction(-1, 3), Fraction(1, 3)}
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("name,spec", NAMED_CORPUS + HANDLE_CORPUS)
+    def test_certificate_decides_each_crossing_once(self, name, spec,
+                                                    monkeypatch):
+        # one ray per vertex angle and per bisector, each checked against
+        # every circle, and no second pass for the graph, Euler or fibres
+        model = synthesize(validated(spec))
+        calls = []
+        crossing = sweep._ray_crossing
+        monkeypatch.setattr(sweep, "_ray_crossing",
+                            lambda *args: calls.append(args) or crossing(*args))
+        cli._certificate(model)
+        arr = model.arrangement
+        assert len(calls) == 2 * arr.k * len(arr.circles)
 
 
 class TestEuler:
