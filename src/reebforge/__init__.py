@@ -19,7 +19,7 @@ from .graphs import (EmbeddedEdge, EmbeddedGraphDescription, EmbeddingReport,
                      check_embedded_graph, embedded_graph_from_json,
                      graph_spec_from_json, graph_spec_to_json,
                      path_isomorphic, reeb_isomorphic, validate_spec,
-                     validated, validated_spec_to_json)
+                     validated)
 from .layout import (CircleArrangement, DisjointnessReport, PlacedCircle,
                      TangencyEvent, build_arrangement, certify_disjointness,
                      choose_annulus_halfwidth, tangency_events)

@@ -24,7 +24,7 @@ from .errors import (CountMismatch, DegenerateEvent, EulerMismatch,
                      ResolutionTooCoarse, SpecValidationError)
 from .graphs import (check_embedded_graph, embedded_graph_from_json,
                      graph_spec_from_json, path_isomorphic, reeb_isomorphic,
-                     validated, validated_spec_to_json)
+                     graph_spec_to_json, validated)
 from .layout import CircleArrangement, certify_disjointness
 from .numbers import decimal_string, format_rational
 from .oracle import (brute_oracle_reeb, membership_check, results_match,
@@ -97,7 +97,7 @@ def _certificate(model: SurfaceModel):
     if not same:
         raise CountMismatch("swept graph is not isomorphic to the spec graph")
     cert = {
-        "spec": validated_spec_to_json(vspec),
+        "spec": graph_spec_to_json(vspec),
         "degree": model.degree,
         "precision_bits": arr.precision_bits,
         "disjointness": {

@@ -15,7 +15,7 @@ by the manifold dimension m to m' = floor((m-1)/2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -60,7 +60,7 @@ class ValidatedSpec:
     """A spec that passed validation, with handle data densified."""
 
     mode: str
-    vertex_count: int
+    vertices: int
     multiplicities: tuple[int, ...]
     dimension: int
     stages: int
@@ -71,8 +71,8 @@ class ValidatedSpec:
     @property
     def sector_count(self) -> int:
         if self.mode == "circle":
-            return self.vertex_count
-        return max(self.vertex_count - 1, 0)
+            return self.vertices
+        return max(self.vertices - 1, 0)
 
     def edge_multiplicity(self, j: int) -> int:
         return self.multiplicities[j - 1]
@@ -261,7 +261,7 @@ def validated(spec: GraphSpec) -> ValidatedSpec:
     )
     return ValidatedSpec(
         mode=spec.mode,
-        vertex_count=spec.vertices,
+        vertices=spec.vertices,
         multiplicities=tuple(spec.multiplicities),
         dimension=spec.dimension,
         stages=stages,
@@ -303,12 +303,12 @@ def reeb_isomorphic(spec: ValidatedSpec, result) -> bool:
     """
     if spec.mode != "circle":
         raise ValueError("isomorphism comparison is defined for circle mode")
-    if spec.vertex_count == 0:
+    if spec.vertices == 0:
         return bool(result.no_vertex_circle)
     if result.no_vertex_circle:
         return False
     got = tuple(result.cyclic_multiplicities())
-    if len(got) != spec.vertex_count:
+    if len(got) != spec.vertices:
         return False
     return canonical_cyclic_form(got) == canonical_cyclic_form(spec.multiplicities)
 
@@ -324,7 +324,7 @@ def path_isomorphic(spec: ValidatedSpec, result) -> bool:
     if result.no_vertex_circle:
         return False
     got = tuple(result.cyclic_multiplicities())
-    if len(got) != spec.vertex_count or got[-1] != 0:
+    if len(got) != spec.vertices or got[-1] != 0:
         return False
     want = tuple(spec.multiplicities)
     return got[:-1] in (want, want[::-1])
@@ -461,29 +461,12 @@ def graph_spec_from_json(data) -> GraphSpec:
     )
 
 
-def graph_spec_to_json(spec: GraphSpec) -> dict:
+def graph_spec_to_json(spec) -> dict:
+    """Emit a GraphSpec or a ValidatedSpec in the shape graph_spec_from_json
+    reads."""
     out = {
         "mode": spec.mode,
         "vertices": spec.vertices,
-        "multiplicities": list(spec.multiplicities),
-        "dimension": spec.dimension,
-    }
-    if spec.has_handles:
-        out["handles"] = [
-            {"edge": [j, jprime], "sequence": list(seq)}
-            for (j, jprime), seq in spec.handles
-        ]
-    if spec.annulus_halfwidth is not None:
-        out["annulus_halfwidth"] = format_rational(spec.annulus_halfwidth)
-    out["precision_bits"] = spec.precision_bits
-    return out
-
-
-def validated_spec_to_json(spec: ValidatedSpec) -> dict:
-    """Emit a validated spec in the same shape graph_spec_from_json reads."""
-    out = {
-        "mode": spec.mode,
-        "vertices": spec.vertex_count,
         "multiplicities": list(spec.multiplicities),
         "dimension": spec.dimension,
     }

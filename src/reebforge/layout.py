@@ -319,7 +319,7 @@ def build_arrangement(spec: ValidatedSpec) -> CircleArrangement:
     """Place every circle demanded by a validated spec."""
     if spec.mode == "line":
         return _build_line_arrangement(spec)
-    k = spec.vertex_count
+    k = spec.vertices
     if k == 0:
         halfwidth = spec.annulus_halfwidth or Fraction(1, 2)
         if not (0 < halfwidth < 1):
@@ -364,7 +364,7 @@ def build_arrangement(spec: ValidatedSpec) -> CircleArrangement:
 # ---------------------------------------------------------------------------
 
 def _build_line_arrangement(spec: ValidatedSpec) -> CircleArrangement:
-    k = spec.vertex_count
+    k = spec.vertices
     strips = k - 1
     axis_x = Fraction(1)
     width = 2 * axis_x / strips

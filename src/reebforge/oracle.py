@@ -37,8 +37,9 @@ from .graphs import canonical_cyclic_form
 from .layout import CircleArrangement, tangency_events
 from .numbers import (TurnAngle, certainly_negative, certainly_positive,
                       format_rational, interval_inf, interval_precision,
-                      interval_sup, sin_half_sector_bounds, turn_sin_cos)
-from .poly import eval_and_gradient, evaluate_floats
+                      interval_sup, to_interval)
+from .poly import (FloatConsts, IvConsts, _factor_value, eval_and_gradient,
+                   evaluate_floats)
 from .sweep import ReebEdge, ReebGraphResult, ReebVertex
 
 TAU = 2.0 * math.pi
@@ -504,74 +505,6 @@ def _sample_box(arr: CircleArrangement) -> tuple[Fraction, Fraction]:
     return ax * Fraction(9, 8), ay * Fraction(9, 8)
 
 
-def _sq_bounds(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return Fraction(0), max(lo * lo, hi * hi)
-
-
-def _margin_bounds(f, x: Fraction, y: Fraction,
-                   bits: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds of one factor value at the planar point (x, y) with
-    all transverse coordinates zero.  Exact for rational-data factors,
-    interval-backed for polar circles."""
-    if f.kind == "annulus_outer":
-        v = (1 + f.a) ** 2 - x * x - y * y
-        return v, v
-    if f.kind == "annulus_inner":
-        v = x * x + y * y - (1 - f.a) ** 2
-        return v, v
-    if f.kind == "ellipse_outer":
-        A, B = f.axes
-        v = A * A * B * B - B * B * x * x - A * A * y * y
-        return v, v
-    if f.kind not in ("circle", "ellipsoid"):
-        raise ValueError("unknown factor kind %r" % f.kind)
-    if f.center is not None:
-        bx, by = f.center
-        v = (x - bx) ** 2 + (y - by) ** 2 - f.radius * f.radius
-        lo = hi = v
-    else:
-        with interval_precision(bits):
-            sin_t, cos_t = turn_sin_cos(f.turn)
-            cos_lo, cos_hi = interval_inf(cos_t), interval_sup(cos_t)
-            sin_lo, sin_hi = interval_inf(sin_t), interval_sup(sin_t)
-        s_lo, s_hi = sin_half_sector_bounds(f.sectors, bits)
-        dx2 = _sq_bounds(x - f.d * cos_hi, x - f.d * cos_lo)
-        dy2 = _sq_bounds(y - f.d * sin_hi, y - f.d * sin_lo)
-        rr = f.scale * f.scale * f.d * f.d
-        lo = dx2[0] + dy2[0] - rr * s_hi * s_hi
-        hi = dx2[1] + dy2[1] - rr * s_lo * s_lo
-    # on the transverse-zero slice an ellipsoid factor equals its disk
-    # factor, so the disk margin is the factor value itself
-    return lo, hi
-
-
-def _float_margins(factors, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Float factor values at planar points, one row per factor."""
-    rows = []
-    for f in factors:
-        if f.kind == "annulus_outer":
-            rows.append(float((1 + f.a) ** 2) - x * x - y * y)
-        elif f.kind == "annulus_inner":
-            rows.append(x * x + y * y - float((1 - f.a) ** 2))
-        elif f.kind == "ellipse_outer":
-            A, B = float(f.axes[0]), float(f.axes[1])
-            rows.append(A * A * B * B - B * B * x * x - A * A * y * y)
-        else:
-            if f.center is not None:
-                cx, cy = float(f.center[0]), float(f.center[1])
-                r = float(f.radius)
-            else:
-                cx = float(f.d) * math.cos(TAU * float(f.turn))
-                cy = float(f.d) * math.sin(TAU * float(f.turn))
-                r = float(f.scale) * float(f.d) * math.sin(math.pi / f.sectors)
-            rows.append((x - cx) ** 2 + (y - cy) ** 2 - r * r)
-    return np.stack(rows)
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Result of comparing the sign of the model polynomial against direct
@@ -580,9 +513,10 @@ class MembershipReport:
     Points land on the zero slice of every non-planar coordinate, where the
     polynomial equals the plain product of its factors and the region is the
     planar region minus the removed ellipsoid disks.  Float screening flags
-    suspects, which are then settled with exact rational margins; a point
-    whose certified distance proxy to any factor boundary falls inside the
-    band is exempt."""
+    suspects, which are then settled with certified interval margins: every
+    factor evaluated by `poly._factor_value` on mpmath intervals.  A point
+    whose certified margin to any factor boundary falls inside the band is
+    exempt."""
 
     count: int
     inside: int
@@ -612,10 +546,11 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     """Check sign(P) == region membership at quasirandom planar points.
 
     The float pass evaluates the full polynomial (deficit squares included,
-    they vanish on the slice) and, separately, per-factor geometric margins.
-    Disagreements and near-boundary points are re-decided with certified
-    rational bounds; only a certified disagreement outside the band counts
-    as a mismatch."""
+    they vanish on the slice) and, separately, every factor's margin through
+    `_factor_value` on floats.  Disagreements and near-boundary points are
+    re-decided with the same factor values on `bits`-bit mpmath intervals
+    and a certified enclosure of the polynomial; only a certified
+    disagreement outside the band counts as a mismatch."""
     poly = model.polynomial
     factors = [f for stage in poly.stages for f in stage.factors]
     half_x, half_y = _sample_box(model.arrangement)
@@ -632,7 +567,9 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     points[0], points[1] = x, y
     values = evaluate_floats(poly, points)
 
-    margins = _float_margins(factors, x, y)
+    planar = [x, y] + [0.0] * (poly.num_vars - 2)
+    margins = np.stack([_factor_value(f, planar, FloatConsts())
+                        for f in factors])
     member = np.all(margins > 0.0, axis=0)
     min_abs = np.min(np.abs(margins), axis=0)
 
@@ -645,11 +582,14 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     pad = [Fraction(0)] * (poly.num_vars - 2)
     for i in suspect:
         px, py = xs_exact[int(i)], ys_exact[int(i)]
-        bounds = [_margin_bounds(f, px, py, bits) for f in factors]
+        with interval_precision(bits):
+            point = [to_interval(p) for p in [px, py] + pad]
+            bounds = [(interval_inf(v), interval_sup(v)) for v in
+                      (_factor_value(f, point, IvConsts()) for f in factors)]
         if any(lo <= band and hi >= -band for lo, hi in bounds):
             band_points += 1
             continue
-        exact_member = all(lo > 0 for lo, _ in bounds)
+        certified_member = all(lo > 0 for lo, _ in bounds)
         value_iv, _ = eval_and_gradient(poly, [px, py] + pad, bits)
         if certainly_positive(value_iv):
             positive = True
@@ -658,11 +598,11 @@ def membership_check(model, count: int = 20000, seed: int = 0,
         else:
             band_points += 1
             continue
-        if positive != exact_member:
+        if positive != certified_member:
             mismatches.append({
                 "point": [format_rational(px), format_rational(py)],
                 "sign_positive": positive,
-                "inside_region": exact_member,
+                "inside_region": certified_member,
             })
 
     inside = int(np.count_nonzero(member))

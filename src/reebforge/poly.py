@@ -14,8 +14,11 @@ removal attaches a handle.
 
 Factors keep exact rational data (distances, turns, heights); the handful
 of irrational constants (cos/sin of rational turns, sin(pi/k)) are produced
-by pluggable constant pools, so the same evaluation code runs on plain
-float64 arrays, outward-rounded interval arrays, and mpmath intervals.
+by pluggable constant pools, so one evaluation code, `_factor_value`, runs on
+plain float64 arrays, outward-rounded interval arrays, mpmath intervals, and
+sparse monomial dictionaries, which is how `expand_terms` expands the
+product.  The membership oracle evaluates its factor margins through the
+same code.
 """
 
 from __future__ import annotations
@@ -27,21 +30,16 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from mpmath import iv, mp
+from mpmath import iv
 
 from .errors import ExpansionTooLarge, HeightFailure, NoFactors
 from .graphs import (
     ValidatedSpec,
     graph_spec_from_json,
+    graph_spec_to_json,
     validated,
-    validated_spec_to_json,
 )
-from .layout import (
-    CircleArrangement,
-    PlacedCircle,
-    build_arrangement,
-    certify_disjointness,
-)
+from .layout import CircleArrangement, build_arrangement
 from .numbers import (
     BOUND_BITS,
     DEFAULT_PRECISION_BITS,
@@ -596,7 +594,7 @@ class SurfaceModel:
             "dimension": self.spec.dimension,
             "ambient_dimension": self.ambient_dimension,
             "degree": self.degree,
-            "spec": validated_spec_to_json(self.spec),
+            "spec": graph_spec_to_json(self.spec),
             "arrangement": self.arrangement.to_json(),
             "polynomial": self.polynomial.to_json(),
             "sites": [s.to_json() for s in self.sites],
@@ -614,11 +612,12 @@ class SurfaceModel:
 
 
 def synthesize(spec: ValidatedSpec) -> SurfaceModel:
-    """Full pipeline: placement, disjointness certificates, then the region
-    polynomial pushed through the staged construction to a hypersurface in
-    m+1 variables whose total degree obeys the closed-form count."""
+    """Full pipeline: placement, then the region polynomial pushed through
+    the staged construction to a hypersurface in m+1 variables whose total
+    degree obeys the closed-form count.  Certifying the arrangement's
+    disjointness is the caller's job (`cli._certificate` does it before
+    anything is written)."""
     arr = build_arrangement(spec)
-    certify_disjointness(arr)
     poly = region_polynomial(arr)
     m = spec.dimension
 
@@ -687,93 +686,73 @@ def _factor_is_rational(f: Factor) -> bool:
     return f.center is not None
 
 
-def _mono(n: int, **powers: int) -> tuple[int, ...]:
-    e = [0] * n
-    for key, p in powers.items():
-        e[int(key[1:])] = p
-    return tuple(e)
+class _Terms:
+    """Sparse polynomial, exponent tuple -> coefficient, with the ring
+    operations `_factor_value` and `_evaluate` use.  Products raise
+    ExpansionTooLarge past EXPANSION_GUARD monomials."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other: "_Terms") -> "_Terms":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        return _Terms(out)
+
+    def __sub__(self, other: "_Terms") -> "_Terms":
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] - c if e in out else -c
+        return _Terms(out)
+
+    def __neg__(self) -> "_Terms":
+        return _Terms({e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other: "_Terms") -> "_Terms":
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                if key in out:
+                    out[key] = out[key] + c1 * c2
+                else:
+                    out[key] = c1 * c2
+                if len(out) > EXPANSION_GUARD:
+                    raise ExpansionTooLarge("monomial count exceeded %d"
+                                            % EXPANSION_GUARD)
+        return _Terms(out)
 
 
-def _factor_terms(f: Factor, n: int, lift) -> dict:
-    """Monomial dict of one factor; `lift` maps exact rationals into the
-    coefficient domain, irrational constants become enclosures (or mids)."""
-    x2 = _mono(n, v0=2)
-    y2 = _mono(n, v1=2)
-    x1 = _mono(n, v0=1)
-    y1 = _mono(n, v1=1)
-    one = _mono(n)
-    if f.kind == "annulus_outer":
-        return {x2: lift(-1), y2: lift(-1), one: lift((1 + f.a) ** 2)}
-    if f.kind == "annulus_inner":
-        return {x2: lift(1), y2: lift(1), one: lift(-((1 - f.a) ** 2))}
-    if f.kind == "ellipse_outer":
-        ax, ay = f.axes
-        return {x2: lift(-(ay ** 2)), y2: lift(-(ax ** 2)),
-                one: lift(ax ** 2 * ay ** 2)}
-    if f.kind == "circle":
-        if f.center is not None:
-            cx, cy = f.center
-            r = f.radius * f.scale
-            return {x2: lift(1), y2: lift(1), x1: lift(-2 * cx),
-                    y1: lift(-2 * cy),
-                    one: lift(cx ** 2 + cy ** 2 - r ** 2)}
-        cos_t, sin_t = _expand_turn(f.turn)
-        s2 = _expand_sin2(f.sectors)
-        d = lift(f.d)
-        # center coordinates d*cos, d*sin; constant term d^2 - r^2 uses
-        # cos^2 + sin^2 = 1 exactly
-        return {x2: lift(1), y2: lift(1),
-                x1: lift(-2) * d * cos_t, y1: lift(-2) * d * sin_t,
-                one: lift(f.d ** 2) * (lift(1) - lift(f.scale ** 2) * s2)}
-    if f.kind == "ellipsoid":
-        inv_h2 = 1 / f.height ** 2
-        terms = {}
-        if f.center is not None:
-            r2c = lift((f.radius * f.scale) ** 2)
-            cx, cy = lift(f.center[0]), lift(f.center[1])
-            const = cx * cx + cy * cy - r2c
-            bx, by = cx, cy
-        else:
-            cos_t, sin_t = _expand_turn(f.turn)
-            s2 = _expand_sin2(f.sectors)
-            r2c = lift(f.d ** 2 * f.scale ** 2) * s2
-            bx = lift(f.d) * cos_t
-            by = lift(f.d) * sin_t
-            const = lift(f.d ** 2) * (lift(1) - lift(f.scale ** 2) * s2)
-        terms[x2] = lift(1)
-        terms[y2] = lift(1)
-        terms[x1] = lift(-2) * bx
-        terms[y1] = lift(-2) * by
-        terms[one] = const
-        for i in f.transverse:
-            terms[_mono(n, **{"v%d" % i: 2})] = r2c * lift(inv_h2)
-        return terms
-    raise ValueError("unknown factor kind %r" % f.kind)
+class _ExactConsts:
+    """Exact rational coefficients; rational-data factors need no others."""
+
+    def lift(self, fr: Fraction):
+        return Fraction(fr)
 
 
-def _expand_turn(turn: Fraction):
-    sin_t, cos_t = turn_sin_cos(turn)
-    return cos_t, sin_t
+class _TermConsts:
+    """Constant pool for expansion: every constant is a constant term whose
+    coefficient comes from the scalar pool `coeffs`."""
 
+    def __init__(self, num_vars: int, coeffs):
+        self.one = (0,) * num_vars
+        self.coeffs = coeffs
 
-def _expand_sin2(k: int):
-    s = iv.sin(iv.pi / k)
-    return s * s
+    def _const(self, c) -> _Terms:
+        return _Terms({self.one: c})
 
+    def lift(self, fr: Fraction):
+        return self._const(self.coeffs.lift(fr))
 
-def _poly_mul(acc: dict, other: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in acc.items():
-        for e2, c2 in other.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            if key in out:
-                out[key] = out[key] + c1 * c2
-            else:
-                out[key] = c1 * c2
-            if len(out) > EXPANSION_GUARD:
-                raise ExpansionTooLarge("monomial count exceeded %d"
-                                        % EXPANSION_GUARD)
-    return out
+    def turn_cos_sin(self, turn: Fraction):
+        cos_t, sin_t = self.coeffs.turn_cos_sin(turn)
+        return self._const(cos_t), self._const(sin_t)
+
+    def sin_half(self, k: int):
+        return self._const(self.coeffs.sin_half(k))
 
 
 def expand_terms(poly: FactoredPolynomial,
@@ -787,22 +766,17 @@ def expand_terms(poly: FactoredPolynomial,
         raise NoFactors("cannot expand an empty polynomial")
     n = poly.num_vars
 
-    def run(lift):
-        acc = None
-        for stage in poly.stages:
-            for f in stage.factors:
-                terms = _factor_terms(f, n, lift)
-                acc = terms if acc is None else _poly_mul(acc, terms)
-            for i in stage.deficit_vars:
-                key = _mono(n, **{"v%d" % i: 2})
-                acc[key] = acc.get(key, lift(0)) - lift(1)
-        return acc
+    def run(coeffs):
+        pool = _TermConsts(n, coeffs)
+        xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})
+              for i in range(n)]
+        return _evaluate(poly, xs, pool, False)[0].terms
 
     if rational:
-        return run(Fraction)
+        return run(_ExactConsts())
     bits = precision_bits or DEFAULT_PRECISION_BITS
     with interval_precision(bits):
-        return run(to_interval)
+        return run(IvConsts())
 
 
 def _grlex_key(exponents: tuple[int, ...]):

@@ -158,8 +158,11 @@ class TestVerify:
         assert "polynomial stage 1 factor 0" in err
         assert "double range" in err
 
-    def test_tampered_factor_scale(self, tmp_path):
-        out = synthesized(tmp_path)
+    @pytest.mark.parametrize("mode,mults", [("circle", (2, 2, 2)),
+                                            ("line", (1, 2, 1))],
+                             ids=["circle", "line"])
+    def test_tampered_factor_scale(self, tmp_path, mode, mults):
+        out = synthesized(tmp_path, mults=mults, mode=mode)
         path = out / "model.json"
         data = json.loads(path.read_text())
         for stage in data["polynomial"]["stages"]:

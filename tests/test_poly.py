@@ -203,6 +203,30 @@ class TestExpand:
                 total += c * math.prod(x ** e for x, e in zip(point, expo))
             assert abs(total - direct[col]) < 1e-7 * max(1, abs(direct[col]))
 
+    @pytest.mark.parametrize(
+        "name", [n for n, _ in NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS])
+    def test_expansion_encloses_the_polynomial(self, corpus_models, name):
+        from reebforge.numbers import (DEFAULT_PRECISION_BITS, interval_inf,
+                                       interval_precision, interval_sup,
+                                       to_interval)
+        poly = corpus_models[name].polynomial
+        terms = expand_terms(poly)
+        exact = all(isinstance(c, Fraction) for c in terms.values())
+        for planar in ((Fraction(9, 8), Fraction(-1, 3)),
+                       (Fraction(-3, 5), Fraction(7, 10)),
+                       (Fraction(1, 7), Fraction(-6, 5))):
+            point = list(planar) + [Fraction(1, 8 + 3 * i)
+                                    for i in range(poly.num_vars - 2)]
+            value, _ = eval_and_gradient(poly, point)
+            lo, hi = interval_inf(value), interval_sup(value)
+            if exact:
+                assert lo <= evaluate_terms(terms, point) <= hi
+            else:
+                with interval_precision(DEFAULT_PRECISION_BITS):
+                    got = evaluate_terms(terms, [to_interval(p)
+                                                 for p in point])
+                assert interval_inf(got) <= hi and lo <= interval_sup(got)
+
     def test_render_text_torus(self):
         model = synthesize(validated(torus_spec()))
         text = render_text(model.polynomial)
