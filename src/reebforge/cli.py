@@ -7,7 +7,10 @@ domain extension, and test an embedded graph against the realizability
 conditions.
 
 Exit codes: 0 success, 1 failed graph conditions (check-graph only),
-2 invalid input, 3 packing failure, 4 certification failure.
+2 invalid input, 3 packing failure, 4 certification failure.  Every
+subcommand that loads a model (verify, plot --model, export, extend)
+rebuilds it from its spec, arrangement and ellipsoid heights and exits 4
+when the stored file disagrees.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from .layout import CircleArrangement, certify_disjointness
 from .numbers import decimal_string, format_rational
 from .oracle import (brute_oracle_reeb, membership_check, results_match,
                      smooth_degree_two)
-from .poly import (SurfaceModel, expand, nonsingular_extension,
-                   region_polynomial, render_text)
+from .poly import SurfaceModel, expand, nonsingular_extension, render_text
 from .poly import synthesize as synthesize_model
 from .svgplot import arrangement_svg
 from .sweep import sweep_reeb, verify_morse
@@ -143,13 +145,6 @@ def cmd_synthesize(args) -> int:
 def cmd_verify(args) -> int:
     model = _load_model(args.model)
     arr = model.arrangement
-
-    stored = model.polynomial.planar_factors
-    derived = region_polynomial(arr).planar_factors
-    if stored != derived:
-        raise ModelMismatch("stored planar factors do not match the "
-                            "arrangement")
-
     cert, result = _certificate(model)
 
     radial, angular = _parse_resolution(args.oracle_res)

@@ -177,6 +177,9 @@ class CircleArrangement:
                     sector=int(item["sector"]), role=role,
                     center=(parse_rational(cx), parse_rational(cy)),
                     radius=parse_rational(item["radius"])))
+        if data["mode"] == "circle" and circles and int(data["k"]) < 3:
+            raise ValueError("a circle arrangement with circles needs at "
+                             "least 3 sectors")
         axes = None
         if "ellipse" in data:
             axes = (parse_rational(data["ellipse"][0]),

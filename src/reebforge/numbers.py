@@ -136,6 +136,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError("rational %r has a zero denominator" % text)
         return Fraction(int(num), int(den))
     return Fraction(text)
 
@@ -157,10 +159,6 @@ class TurnAngle:
 
     def label(self) -> str:
         return "%d/%d of 2pi" % (self.turns.numerator, self.turns.denominator)
-
-    def radians(self):
-        """Interval enclosure of the angle in radians at current precision."""
-        return 2 * iv.pi * to_interval(self.turns)
 
     def __lt__(self, other: "TurnAngle") -> bool:
         return self.turns < other.turns
@@ -225,11 +223,6 @@ class BoxArray:
             return cls(lo, hi)
         return cls(value)
 
-    @classmethod
-    def around(cls, center, radius) -> "BoxArray":
-        center = np.asarray(center, dtype=np.float64)
-        return cls(_down(center - radius), _up(center + radius))
-
     def _coerce(self, other) -> "BoxArray":
         if isinstance(other, BoxArray):
             return other
@@ -275,12 +268,6 @@ class BoxArray:
         lo = np.sqrt(np.maximum(self.lo, 0.0))
         hi = np.sqrt(np.maximum(self.hi, 0.0))
         return BoxArray(np.maximum(_down(lo), 0.0), _up(hi))
-
-    def contains_zero(self):
-        return (self.lo <= 0) & (self.hi >= 0)
-
-    def excludes_zero(self):
-        return (self.lo > 0) | (self.hi < 0)
 
     def __repr__(self):
         return "BoxArray(%r, %r)" % (self.lo, self.hi)

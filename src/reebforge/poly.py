@@ -19,12 +19,20 @@ plain float64 arrays, outward-rounded interval arrays, mpmath intervals, and
 sparse monomial dictionaries, which is how `expand_terms` expands the
 product.  The membership oracle evaluates its factor margins through the
 same code.
+
+Which factor each stage holds, with which transverse and deficit
+variables, is decided once, by `staged_polynomial`, from the spec, the
+arrangement and the ellipsoid heights.  So in `model.json` only `spec`,
+`arrangement` and the ellipsoid `height`s are data; the rest of
+`polynomial`, `sites`, `degree`, `dimension` and `ambient_dimension` are
+derived, and `SurfaceModel.from_json` rebuilds them and rejects a file
+that disagrees.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -32,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 from mpmath import iv
 
-from .errors import ExpansionTooLarge, HeightFailure, NoFactors
+from .errors import ExpansionTooLarge, HeightFailure, ModelMismatch, NoFactors
 from .graphs import (
     ValidatedSpec,
     graph_spec_from_json,
@@ -149,10 +157,6 @@ class Stage:
 class FactoredPolynomial:
     num_vars: int
     stages: tuple[Stage, ...]
-
-    @property
-    def planar_factors(self) -> tuple[Factor, ...]:
-        return self.stages[0].factors
 
     def factor_count(self) -> int:
         return sum(len(s.factors) for s in self.stages)
@@ -364,13 +368,9 @@ def evaluate_floats(poly: FactoredPolynomial, points: np.ndarray) -> np.ndarray:
     return value
 
 
-def evaluate_boxes(poly: FactoredPolynomial, boxes: Sequence[BoxArray],
-                   want_gradient: bool = False):
+def evaluate_boxes(poly: FactoredPolynomial, boxes: Sequence[BoxArray]):
     """Certified float64-interval evaluation over per-variable box arrays."""
-    value, grad = _evaluate(poly, list(boxes), BoxConsts(), want_gradient)
-    if want_gradient:
-        return value, [grad.get(i, BoxArray.exact(0.0)) for i in range(poly.num_vars)]
-    return value
+    return _evaluate(poly, list(boxes), BoxConsts(), False)[0]
 
 
 def eval_and_gradient(poly: FactoredPolynomial, point: Sequence,
@@ -408,32 +408,6 @@ def region_polynomial(arr: CircleArrangement) -> FactoredPolynomial:
             factors.append(Factor(kind="circle", center=c.center,
                                   radius=c.radius))
     return FactoredPolynomial(2, (Stage(tuple(factors), ()),))
-
-
-def us_construct(poly: FactoredPolynomial, kprime: int) -> FactoredPolynomial:
-    """Subtract the squares of kprime fresh variables.  The zero set in the
-    enlarged space doubles {P >= 0} along its boundary; total degree is
-    unchanged whenever deg P >= 2."""
-    if kprime < 1:
-        raise ValueError("kprime must be positive")
-    new = tuple(range(poly.num_vars, poly.num_vars + kprime))
-    last = poly.stages[-1]
-    stages = poly.stages[:-1] + (Stage(last.factors, last.deficit_vars + new),)
-    return FactoredPolynomial(poly.num_vars + kprime, stages)
-
-
-def remove_ellipsoids(poly: FactoredPolynomial,
-                      sites: Sequence[Factor]) -> FactoredPolynomial:
-    """Multiply in ellipsoid factors as a new stage; each factor is positive
-    outside its ellipsoid, so the region loses the open ellipsoids and the
-    degree grows by 2 per site."""
-    if not sites:
-        return poly
-    for f in sites:
-        if f.kind != "ellipsoid":
-            raise ValueError("remove_ellipsoids expects ellipsoid factors")
-    return FactoredPolynomial(poly.num_vars,
-                              poly.stages + (Stage(tuple(sites), ()),))
 
 
 def _disk_planar_box(disk: Factor) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -552,12 +526,6 @@ class EllipsoidSite:
                 "sector": self.sector, "channel": self.channel,
                 "factor": self.factor.to_json()}
 
-    @staticmethod
-    def from_json(data: dict) -> "EllipsoidSite":
-        return EllipsoidSite(int(data["circle_index"]), int(data["stage"]),
-                             int(data["sector"]), int(data["channel"]),
-                             Factor.from_json(data["factor"]))
-
 
 def fiber_word(dimension: int, sequence: Sequence[int]) -> str:
     """Connected-sum word of a regular fiber: one S^j x S^(m-j-1) summand
@@ -570,12 +538,74 @@ def fiber_word(dimension: int, sequence: Sequence[int]) -> str:
     return " # ".join(parts)
 
 
+def staged_polynomial(spec: ValidatedSpec, arr: CircleArrangement,
+                      height) -> FactoredPolynomial:
+    """The model polynomial of `spec` over `arr`, in m+1 variables.
+
+    Stage 0 holds the region factors.  Handle stage s multiplies in one
+    ellipsoid factor per stage-s handle circle, in arrangement order: over
+    the circle's half-scale disk, transverse in every variable past the
+    plane.  Every stage then subtracts the squares of fresh variables, one
+    before the last stage and the rest up to m+1 at it; a stage without
+    ellipsoids adds its squares to the stage before.  The zero set doubles
+    {P >= 0} along its boundary, and each ellipsoid attaches a handle.
+    `height(poly, site, where)` gives the height of the ellipsoid `site`
+    (whose own height is unset) against `poly`, the earlier stages;
+    `where` names the site in errors."""
+    poly = region_polynomial(arr)
+    for stage in range(spec.stages + 1):
+        sites = []
+        for circle in arr.circles:
+            if circle.role.kind != "handle" or circle.role.stage != stage:
+                continue
+            site = Factor(kind="ellipsoid", d=circle.d,
+                          turn=arr.bisector_turn(circle.sector),
+                          sectors=arr.k, scale=Fraction(1, 2),
+                          transverse=tuple(range(2, poly.num_vars)))
+            where = "ellipsoid at sector %d stage %d" % (circle.sector, stage)
+            sites.append(replace(site, height=height(poly, site, where)))
+        stages = poly.stages + ((Stage(tuple(sites), ()),) if sites else ())
+        n = poly.num_vars
+        new = tuple(range(n, n + 1 if stage < spec.stages
+                          else spec.dimension + 1))
+        top = stages[-1]
+        poly = FactoredPolynomial(n + len(new), stages[:-1] + (
+            Stage(top.factors, top.deficit_vars + new),))
+    return poly
+
+
+def _certified_height(poly: FactoredPolynomial, site: Factor,
+                      where: str) -> Fraction:
+    """A height at which `site` certifiably lies inside {poly > 0}: the
+    disk bound of `ellipsoid_height`, capped and then halved until
+    `certify_ellipsoid_inside` accepts it."""
+    h = ellipsoid_height(poly, replace(site, kind="circle", transverse=()))
+    # the transverse wall of an existing ellipsoid factor grows like
+    # r^2/h^2, so a new site must sit well under the thinnest height
+    # already in the product or that wall swamps its enclosures
+    cap = min((f.height for s in poly.stages for f in s.factors
+               if f.kind == "ellipsoid"), default=None)
+    if cap is not None and h > cap / 16:
+        h = cap / 16
+    for _ in range(12):
+        _check_height(h, where)
+        if certify_ellipsoid_inside(poly, replace(site, height=h)):
+            return h
+        h = h / 2
+    raise HeightFailure("%s resisted certification" % where)
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A synthesized model.  Its data are the spec, the arrangement and
+    the ellipsoid heights held in `polynomial`; the polynomial's stages,
+    factors and variables, the `sites`, the degree and the dimensions are
+    derived from them by `staged_polynomial`.  `from_json` rebuilds the
+    derived fields and raises ModelMismatch when the file disagrees."""
+
     spec: ValidatedSpec
     arrangement: CircleArrangement
     polynomial: FactoredPolynomial
-    sites: tuple[EllipsoidSite, ...]
 
     @property
     def ambient_dimension(self) -> int:
@@ -584,6 +614,18 @@ class SurfaceModel:
     @property
     def degree(self) -> int:
         return degree(self.polynomial)
+
+    @property
+    def sites(self) -> tuple[EllipsoidSite, ...]:
+        """Handle circles in staging order, each with its ellipsoid."""
+        circles = self.arrangement.circles
+        handles = sorted((c.role.stage, i) for i, c in enumerate(circles)
+                         if c.role.kind == "handle")
+        ellipsoids = [f for s in self.polynomial.stages for f in s.factors
+                      if f.kind == "ellipsoid"]
+        return tuple(EllipsoidSite(i, stage, circles[i].sector,
+                                   circles[i].role.channel, f)
+                     for (stage, i), f in zip(handles, ellipsoids))
 
     def channel_fiber(self, sector: int, channel: int) -> str:
         seq = self.spec.handle_sequence(sector, channel)
@@ -603,77 +645,37 @@ class SurfaceModel:
     @staticmethod
     def from_json(data: dict) -> "SurfaceModel":
         spec = validated(graph_spec_from_json(data["spec"]))
-        return SurfaceModel(
-            spec=spec,
-            arrangement=CircleArrangement.from_json(data["arrangement"]),
-            polynomial=FactoredPolynomial.from_json(data["polynomial"]),
-            sites=tuple(EllipsoidSite.from_json(s) for s in data["sites"]),
-        )
+        arr = CircleArrangement.from_json(data["arrangement"])
+        stored = FactoredPolynomial.from_json(data["polynomial"])
+        heights = (f.height for s in stored.stages for f in s.factors
+                   if f.kind == "ellipsoid")
+
+        def stored_height(poly, site, where):
+            h = next(heights, None)
+            if h is None:
+                raise ModelMismatch("%s has no stored height" % where)
+            return h
+
+        model = SurfaceModel(spec, arr,
+                             staged_polynomial(spec, arr, stored_height))
+        rebuilt = model.to_json()
+        for key in dict.fromkeys([*rebuilt, *data]):
+            if rebuilt.get(key) != data.get(key):
+                raise ModelMismatch(
+                    "model field %r differs from the model rebuilt from its "
+                    "spec, arrangement and heights" % key)
+        return model
 
 
 def synthesize(spec: ValidatedSpec) -> SurfaceModel:
-    """Full pipeline: placement, then the region polynomial pushed through
-    the staged construction to a hypersurface in m+1 variables whose total
-    degree obeys the closed-form count.  Certifying the arrangement's
+    """Full pipeline: placement, then the staged polynomial with certified
+    ellipsoid heights, a hypersurface in m+1 variables whose total degree
+    obeys the closed-form count.  Certifying the arrangement's
     disjointness is the caller's job (`cli._certificate` does it before
     anything is written)."""
     arr = build_arrangement(spec)
-    poly = region_polynomial(arr)
-    m = spec.dimension
-
-    if not spec.handles:
-        poly = us_construct(poly, m - 1)
-        sites: tuple[EllipsoidSite, ...] = ()
-    else:
-        poly = us_construct(poly, 1)
-        collected: list[EllipsoidSite] = []
-        for stage in range(1, spec.stages + 1):
-            # the transverse wall of an existing ellipsoid factor grows like
-            # r^2/h^2, so a new site must sit well under the thinnest height
-            # already in the product or that wall swamps its enclosures
-            cap = min((s.factor.height for s in collected),
-                      default=None)
-            stage_factors: list[Factor] = []
-            for idx, circle in enumerate(arr.circles):
-                role = circle.role
-                if role.kind != "handle" or role.stage != stage:
-                    continue
-                disk = Factor(kind="circle", d=circle.d,
-                              turn=arr.bisector_turn(circle.sector),
-                              sectors=arr.k, scale=Fraction(1, 2))
-                h = ellipsoid_height(poly, disk)
-                if cap is not None and h > cap / 16:
-                    h = cap / 16
-                site = None
-                for _ in range(12):
-                    _check_height(h, "ellipsoid at sector %d stage %d"
-                                  % (circle.sector, stage))
-                    candidate = Factor(
-                        kind="ellipsoid", d=circle.d,
-                        turn=arr.bisector_turn(circle.sector),
-                        sectors=arr.k, scale=Fraction(1, 2), height=h,
-                        transverse=tuple(range(2, poly.num_vars)))
-                    if certify_ellipsoid_inside(poly, candidate):
-                        site = candidate
-                        break
-                    h = h / 2
-                if site is None:
-                    raise HeightFailure(
-                        "ellipsoid at sector %d stage %d resisted certification"
-                        % (circle.sector, stage))
-                stage_factors.append(site)
-                collected.append(EllipsoidSite(idx, stage, circle.sector,
-                                               role.channel, site))
-            poly = remove_ellipsoids(poly, stage_factors)
-            kprime = 1 if stage < spec.stages else m - poly.num_vars + 1
-            poly = us_construct(poly, kprime)
-        sites = tuple(collected)
-
-    if poly.num_vars != m + 1:
-        raise AssertionError("staging bug: ambient %d, expected %d"
-                             % (poly.num_vars, m + 1))
-    return SurfaceModel(spec=spec, arrangement=arr, polynomial=poly,
-                        sites=sites)
+    return SurfaceModel(spec, arr,
+                        staged_polynomial(spec, arr, _certified_height))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line driver: files in, files out, exit codes."""
 
+import copy
 import json
 
 import pytest
@@ -37,6 +38,87 @@ def synthesized(tmp_path, **kw):
     code = main(["synthesize", "--spec", str(spec), "--out", str(out)])
     assert code == 0
     return out
+
+
+M5_HANDLE = {"dimension": 5, "handles": [{"edge": [1, 1],
+                                          "sequence": [1, 0]}]}
+
+
+@pytest.fixture(scope="module")
+def m5_model(tmp_path_factory):
+    """model.json of an m = 5 spec with one stage-1 handle circle."""
+    out = synthesized(tmp_path_factory.mktemp("m5"), **M5_HANDLE)
+    return json.loads((out / "model.json").read_text())
+
+
+def set_ellipsoids(key, value):
+    """An edit of every ellipsoid factor and of its copy in sites."""
+    def edit(data):
+        factors = [f for stage in data["polynomial"]["stages"]
+                   for f in stage["factors"] if f["kind"] == "ellipsoid"]
+        for factor in factors + [site["factor"] for site in data["sites"]]:
+            factor[key] = value
+    return edit
+
+
+def move_site(data):
+    data["sites"][0]["sector"] = (data["sites"][0]["sector"] + 1) % 3
+
+
+def shift_derived(data):
+    for key in ("degree", "dimension", "ambient_dimension"):
+        data[key] += 2
+
+
+def drop_deficit(data):
+    data["polynomial"]["stages"][-1]["deficit_vars"].pop()
+
+
+def set_deficits(data):
+    data["polynomial"]["stages"][-1]["deficit_vars"] = [99]
+
+
+def set_variables(data):
+    data["polynomial"]["variables"] = 3
+
+
+# edits that leave the spec, the arrangement and the heights alone, so only
+# the rebuild on load can refuse them
+MODEL_TAMPERS = [
+    ("site_sector", move_site),
+    ("derived_fields", shift_derived),
+    ("ellipsoid_turn", set_ellipsoids("turn", "1/7")),
+    ("ellipsoid_scale", set_ellipsoids("scale", "1/4")),
+    ("ellipsoid_transverse", set_ellipsoids("transverse", [2, 3])),
+    ("dropped_deficit", drop_deficit),
+    ("transverse_99", set_ellipsoids("transverse", [99])),
+    ("deficit_vars_99", set_deficits),
+    ("variables_3", set_variables),
+]
+
+KIND_SWAP = {"annulus_outer": "annulus_inner",
+             "annulus_inner": "annulus_outer",
+             "circle": "ellipsoid", "ellipsoid": "circle"}
+
+
+def leaf_paths(node, path=()):
+    """Key paths of the scalar leaves under a JSON node."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def mutated(value):
+    """An int plus one, a rational p/q as (p+1)/q, a factor kind swapped."""
+    if isinstance(value, int):
+        return value + 1
+    if "/" in value:
+        p, q = value.split("/")
+        return "%d/%s" % (int(p) + 1, q)
+    return KIND_SWAP[value]
 
 
 class TestSynthesize:
@@ -84,6 +166,13 @@ class TestSynthesize:
         bad.write_text("{]")
         assert main(["synthesize", "--spec", str(bad), "--out",
                      str(tmp_path / "o")]) == 2
+
+    def test_zero_denominator_is_exit_two(self, tmp_path, capsys):
+        spec = spec_file(tmp_path, annulus_halfwidth="1/0")
+        code = main(["synthesize", "--spec", str(spec), "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_impossible_packing_is_exit_three(self, tmp_path, capsys):
         spec = spec_file(tmp_path, mults=(4, 4, 4),
@@ -173,6 +262,34 @@ class TestVerify:
         assert main(["verify", "--model", str(path),
                      "--points", "2000"]) == 4
 
+    @pytest.mark.parametrize("name,edit", MODEL_TAMPERS,
+                             ids=[name for name, _ in MODEL_TAMPERS])
+    def test_inconsistent_model(self, tmp_path, capsys, m5_model, name,
+                                edit):
+        data = copy.deepcopy(m5_model)
+        edit(data)
+        path = tmp_path / "model.json"
+        write_json(path, data)
+        code = main(["verify", "--model", str(path), "--points", "2000"])
+        assert code == 4
+        assert "certification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,part,edit", [
+        ("verify", "arrangement", lambda a: a["circles"][0].update(d="1/0")),
+        ("export", "polynomial",
+         lambda p: p["stages"][0]["factors"][0].update(a="1/0")),
+        ("verify", "arrangement", lambda a: a.update(k=0)),
+    ], ids=["circle_d", "factor_a", "sectors_0"])
+    def test_malformed_model_is_exit_two(self, tmp_path, capsys, command,
+                                         part, edit):
+        out = synthesized(tmp_path)
+        path = out / "model.json"
+        data = json.loads(path.read_text())
+        edit(data[part])
+        write_json(path, data)
+        assert main([command, "--model", str(path), "--out", str(out)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_from_spec(self, tmp_path):
@@ -217,6 +334,14 @@ class TestExport:
         text = (out / "expanded.txt").read_text()
         assert text.startswith("P(x1,x2,x3) = ")
 
+    def test_inconsistent_variables(self, tmp_path, m5_model):
+        data = copy.deepcopy(m5_model)
+        set_variables(data)
+        path = tmp_path / "model.json"
+        write_json(path, data)
+        assert main(["export", "--model", str(path),
+                     "--out", str(tmp_path)]) == 4
+
 
 class TestExtend:
     def test_writes_inequality(self, tmp_path):
@@ -226,6 +351,29 @@ class TestExtend:
         data = json.loads((out / "extension.json").read_text())
         assert data["inequality"]["relation"] == ">= 0"
         assert data["no_singular_points_claimed"] is True
+
+    def test_every_derived_leaf_is_checked(self, tmp_path, m5_model):
+        # spec, arrangement and the ellipsoid heights are the only data in
+        # a model; a change to any other leaf must be refused on load
+        paths = [path for key, node in m5_model.items()
+                 if key not in ("spec", "arrangement")
+                 for path in leaf_paths(node, (key,))]
+        assert {path[0] for path in paths} == {
+            "dimension", "ambient_dimension", "degree", "polynomial", "sites"}
+        accepted = []
+        for path in paths:
+            data = copy.deepcopy(m5_model)
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = mutated(node[path[-1]])
+            model = tmp_path / "model.json"
+            write_json(model, data)
+            code = main(["extend", "--model", str(model),
+                         "--out", str(tmp_path / "x")])
+            if code not in (2, 4):
+                accepted.append((path, code))
+        assert accepted == []
 
 
 class TestCheckGraph:

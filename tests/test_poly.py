@@ -243,6 +243,8 @@ class TestModelJson:
         assert again.polynomial == model.polynomial
         assert again.arrangement == model.arrangement
         assert again.spec == model.spec
+        assert again.to_json() == model.to_json()
+        assert again.sites == model.sites
 
     def test_channel_fiber(self):
         model = synthesize(validated(circle_spec(
