@@ -9,8 +9,8 @@ conditions.
 Exit codes: 0 success, 1 failed graph conditions (check-graph only),
 2 invalid input, 3 packing failure, 4 certification failure.  Every
 subcommand that loads a model (verify, plot --model, export, extend)
-rebuilds it from its spec, arrangement and ellipsoid heights and exits 4
-when the stored file disagrees.
+rebuilds it from its spec, arrangement and ellipsoid heights, re-certifying
+each height, and exits 4 when a height or the stored file is refused.
 """
 
 from __future__ import annotations

@@ -214,7 +214,8 @@ class BoxArray:
     def __init__(self, lo, hi=None):
         lo = np.asarray(lo, dtype=np.float64)
         hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
-        self.lo, self.hi = np.broadcast_arrays(lo, hi)
+        self.lo, self.hi = ((lo, hi) if lo.shape == hi.shape
+                            else np.broadcast_arrays(lo, hi))
 
     @classmethod
     def exact(cls, value) -> "BoxArray":

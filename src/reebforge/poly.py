@@ -25,16 +25,18 @@ variables, is decided once, by `staged_polynomial`, from the spec, the
 arrangement and the ellipsoid heights.  So in `model.json` only `spec`,
 `arrangement` and the ellipsoid `height`s are data; the rest of
 `polynomial`, `sites`, `degree`, `dimension` and `ambient_dimension` are
-derived, and `SurfaceModel.from_json` rebuilds them and rejects a file
-that disagrees.
+derived.  Heights are checked data, not just stored: on load,
+`SurfaceModel.from_json` re-certifies each with `certify_ellipsoid_inside`
+as `synthesize` did, rebuilds the rest, and rejects a file that disagrees.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +59,7 @@ from .numbers import (
     float_bounds,
     format_rational,
     interval_inf,
+    interval_mid,
     interval_precision,
     interval_sup,
     parse_rational,
@@ -225,17 +228,22 @@ class FloatConsts:
 
 
 class BoxConsts:
-    """Directed float64 interval constants for BoxArray evaluation."""
+    """Directed float64 interval constants for BoxArray evaluation; the
+    irrational ones are cached, as every certificate re-reads them."""
 
     def lift(self, fr: Fraction):
         return BoxArray.exact(fr)
 
-    def turn_cos_sin(self, turn: Fraction):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def turn_cos_sin(turn: Fraction):
         (c_lo, c_hi), (s_lo, s_hi) = _turn_bounds(turn)
         return (BoxArray(float_bounds(c_lo)[0], float_bounds(c_hi)[1]),
                 BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1]))
 
-    def sin_half(self, k: int):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def sin_half(k: int):
         lo, hi = sin_half_sector_bounds(k)
         return BoxArray(float_bounds(lo)[0], float_bounds(hi)[1])
 
@@ -423,35 +431,23 @@ def _disk_planar_box(disk: Factor) -> tuple[Fraction, Fraction, Fraction, Fracti
     return bx_lo - r_hi, bx_hi + r_hi, by_lo - r_hi, by_hi + r_hi
 
 
-def _grid_boxes(lo: float, hi: float, cells: int) -> BoxArray:
-    edges = np.linspace(lo, hi, cells + 1)
-    return BoxArray(edges[:-1], edges[1:])
-
-
-def _disk_lower_bound(poly: FactoredPolynomial, disk: Factor,
-                      cells: int) -> float:
-    """Certified lower bound of poly over (closed disk) x {other vars = 0}
-    from a cells x cells interval cover of the disk's bounding box."""
+def _disk_covers(disk: Factor):
+    """The x and y boxes of successively finer interval covers of the
+    disk's bounding box, 16, 32 and 64 cells a side, keeping the cells
+    that may meet the closed disk."""
     x_lo, x_hi, y_lo, y_hi = _disk_planar_box(disk)
-    gx = _grid_boxes(float_bounds(x_lo)[0], float_bounds(x_hi)[1], cells)
-    gy = _grid_boxes(float_bounds(y_lo)[0], float_bounds(y_hi)[1], cells)
-    bx = BoxArray(np.repeat(gx.lo, cells), np.repeat(gx.hi, cells))
-    by = BoxArray(np.tile(gy.lo, cells), np.tile(gy.hi, cells))
-
-    # drop cells certifiably outside the closed disk
     consts = BoxConsts()
     cx, cy = _circle_center(disk, consts)
     r2 = _circle_r2(disk, consts)
-    dist2 = (bx - cx).square() + (by - cy).square()
-    keep = ~((dist2 - r2).lo > 0)
-    if not np.any(keep):
-        return np.inf
-    boxes = [BoxArray(bx.lo[keep], bx.hi[keep]),
-             BoxArray(by.lo[keep], by.hi[keep])]
-    zero = BoxArray.exact(0.0)
-    boxes.extend([zero] * (poly.num_vars - 2))
-    value = evaluate_boxes(poly, boxes)
-    return float(np.min(value.lo))
+    for n in (16, 32, 64):
+        ex = np.linspace(float_bounds(x_lo)[0], float_bounds(x_hi)[1], n + 1)
+        ey = np.linspace(float_bounds(y_lo)[0], float_bounds(y_hi)[1], n + 1)
+        bx = BoxArray(np.repeat(ex[:-1], n), np.repeat(ex[1:], n))
+        by = BoxArray(np.tile(ey[:-1], n), np.tile(ey[1:], n))
+        # drop cells certifiably outside the closed disk
+        keep = ~(((bx - cx).square() + (by - cy).square() - r2).lo > 0)
+        yield [BoxArray(bx.lo[keep], bx.hi[keep]),
+               BoxArray(by.lo[keep], by.hi[keep])]
 
 
 def ellipsoid_height(poly: FactoredPolynomial, disk: Factor) -> Fraction:
@@ -460,8 +456,10 @@ def ellipsoid_height(poly: FactoredPolynomial, disk: Factor) -> Fraction:
     refinement).  Raises HeightFailure when no positive bound is certified
     within the refinement budget."""
     bound = -np.inf
-    for cells in (16, 32, 64):
-        bound = _disk_lower_bound(poly, disk, cells)
+    zeros = [BoxArray.exact(0.0)] * (poly.num_vars - 2)
+    for xs in _disk_covers(disk):
+        value = evaluate_boxes(poly, xs + zeros)
+        bound = float(np.min(value.lo, initial=np.inf))
         if bound > 0:
             break
     if not (bound > 0):
@@ -473,38 +471,41 @@ def ellipsoid_height(poly: FactoredPolynomial, disk: Factor) -> Fraction:
     return h
 
 
-def _ellipsoid_box_cover(site: Factor, planar_cells: int,
-                         transverse_cells: int) -> list[BoxArray]:
-    x_lo, x_hi, y_lo, y_hi = _disk_planar_box(site)
-    axes = [
-        _grid_boxes(float_bounds(x_lo)[0], float_bounds(x_hi)[1], planar_cells),
-        _grid_boxes(float_bounds(y_lo)[0], float_bounds(y_hi)[1], planar_cells),
-    ]
-    h = float(site.height)  # heights are short dyadics, exact in float64
-    t_axes = [_grid_boxes(-h, h, transverse_cells) for _ in site.transverse]
-    grids = axes + t_axes
-    los = np.meshgrid(*[g.lo for g in grids], indexing="ij")
-    his = np.meshgrid(*[g.hi for g in grids], indexing="ij")
-    return [BoxArray(lo.ravel(), hi.ravel()) for lo, hi in zip(los, his)]
+def certify_ellipsoid_inside(poly: FactoredPolynomial, site: Factor) -> bool:
+    """Certified check that the closed ellipsoid `site`, of height h, lies
+    in {poly > 0}, read from the disk covers of `ellipsoid_height`.
 
-
-def certify_ellipsoid_inside(poly: FactoredPolynomial, site: Factor,
-                             planar_cells: int = 10,
-                             transverse_cells: int = 3) -> bool:
-    """Certified check that the closed ellipsoid lies in {poly > 0}: over a
-    box cover of the ellipsoid's bounding box, every cell is either
-    certifiably outside the ellipsoid or certifiably positive.  The cover
-    is refined a few times before giving up, since deep stages need finer
-    cells than early ones."""
-    num_cover_vars = 2 + len(site.transverse)
-    for cells in (planar_cells, planar_cells * 2, planar_cells * 4,
-                  planar_cells * 8):
-        cover = _ellipsoid_box_cover(site, cells, transverse_cells)
-        boxes = list(cover) + [BoxArray.exact(0.0)] * (poly.num_vars
-                                                       - num_cover_vars)
-        g = _factor_value(site, boxes, BoxConsts())
-        p = evaluate_boxes(poly, boxes)
-        if bool(np.all((g.lo > 0) | (p.lo > 0))):
+    Write poly = P_{s-1}, with P_j = P_{j-1} * prod E_j(x,t) - |t_j|^2 for
+    the stage-j ellipsoid factors E_j and deficit variables t_j.  Let
+    F(x) = P_{s-1}(x,0) and C_b(x) the product of the factors of the stages
+    after block b, at t = 0.  On the closed ellipsoid x lies in the disk
+    and |t|^2 <= h^2.  Proof by induction over the stages:
+    * E(x,t) >= E(x,0) for every earlier ellipsoid factor, since its
+      transverse term (r^2/h^2)|t|^2 is nonnegative;
+    * so if P_{j-1} >= L_{j-1} > 0 and every E_j(x,0) > 0, then
+      P_j >= L_j = L_{j-1} * prod E_j(x,0) - |t_j|^2;
+    * unrolled, L_{s-1} = F - sum_b |t_b|^2 C_b >= F - h^2 max_b C_b;
+    * L_j times the later, positive stage products is F - sum_{b<=j}
+      |t_b|^2 C_b >= F - h^2 max_b C_b > 0, so every L_j is positive.
+    Hence it accepts when each later ellipsoid factor at t = 0 and every
+    F - h^2 C_b, with h^2 rounded outward, are positive on every kept cell
+    of one cover (monotonicity: Moore, Kearfott and Cloud, SIAM 2009)."""
+    consts = BoxConsts()
+    h2 = consts.lift(site.height ** 2)
+    # every factor at t = 0: an ellipsoid factor loses its transverse term
+    stages = [[replace(f, transverse=()) for f in s.factors]
+              for s in poly.stages]
+    for xs in _disk_covers(site):
+        values = [[_factor_value(f, xs, consts) for f in fs] for fs in stages]
+        products = [reduce(operator.mul, vs) for vs in values]
+        whole = reduce(operator.mul, products)  # F
+        # stage 0 holds the region factors, the later ones ellipsoids
+        margins = [e for vs in values[1:] for e in vs]
+        after = consts.lift(Fraction(1))  # C_b, from the last block back
+        for product in reversed(products):  # every stage ends a block
+            margins.append(whole - h2 * after)
+            after = after * product
+        if all(np.all(m.lo > 0) for m in margins):
             return True
     return False
 
@@ -600,8 +601,9 @@ class SurfaceModel:
     """A synthesized model.  Its data are the spec, the arrangement and
     the ellipsoid heights held in `polynomial`; the polynomial's stages,
     factors and variables, the `sites`, the degree and the dimensions are
-    derived from them by `staged_polynomial`.  `from_json` rebuilds the
-    derived fields and raises ModelMismatch when the file disagrees."""
+    derived from them by `staged_polynomial`.  `from_json` re-certifies
+    every stored height and rebuilds the derived fields; it raises
+    ModelMismatch on a refused height or a file that disagrees."""
 
     spec: ValidatedSpec
     arrangement: CircleArrangement
@@ -654,6 +656,8 @@ class SurfaceModel:
             h = next(heights, None)
             if h is None:
                 raise ModelMismatch("%s has no stored height" % where)
+            if not certify_ellipsoid_inside(poly, replace(site, height=h)):
+                raise ModelMismatch("%s: stored height not certified" % where)
             return h
 
         model = SurfaceModel(spec, arr,
@@ -781,28 +785,28 @@ def expand_terms(poly: FactoredPolynomial,
         return run(IvConsts())
 
 
-def _grlex_key(exponents: tuple[int, ...]):
-    return (sum(exponents), exponents)
+def _grlex_terms(poly: FactoredPolynomial, precision_bits: Optional[int]):
+    """The expansion's (exponents, coefficient) pairs in graded
+    lexicographic order, without the exact zeros."""
+    terms = expand_terms(poly, precision_bits)
+    for exponents in sorted(terms, key=lambda e: (sum(e), e)):
+        coeff = terms[exponents]
+        if not (isinstance(coeff, Fraction) and coeff == 0):
+            yield exponents, coeff
 
 
 def expand(poly: FactoredPolynomial,
            precision_bits: Optional[int] = None, digits: int = 17) -> dict:
     """JSON-ready sparse expansion in graded lexicographic order."""
-    terms = expand_terms(poly, precision_bits)
     monomials = []
-    for exponents in sorted(terms, key=_grlex_key):
-        coeff = terms[exponents]
+    for exponents, coeff in _grlex_terms(poly, precision_bits):
+        entry = {"exponents": list(exponents)}
         if isinstance(coeff, Fraction):
-            if coeff == 0:
-                continue
-            entry = {"exponents": list(exponents),
-                     "coefficient": format_rational(coeff)}
+            entry["coefficient"] = format_rational(coeff)
         else:
             lo, hi = interval_inf(coeff), interval_sup(coeff)
-            mid = (lo + hi) / 2
-            entry = {"exponents": list(exponents),
-                     "coefficient": decimal_string(mid, digits),
-                     "radius": decimal_string((hi - lo) / 2, 3)}
+            entry["coefficient"] = decimal_string((lo + hi) / 2, digits)
+            entry["radius"] = decimal_string((hi - lo) / 2, 3)
         monomials.append(entry)
     return {"variables": poly.num_vars, "ordering": "grlex",
             "monomials": monomials}
@@ -823,19 +827,14 @@ def evaluate_terms(terms: dict, point: Sequence) -> object:
 def render_text(poly: FactoredPolynomial,
                 precision_bits: Optional[int] = None, digits: int = 12) -> str:
     """Plain-text P(x1,...,xn) with decimal coefficients for CAS import."""
-    terms = expand_terms(poly, precision_bits)
     n = poly.num_vars
     pieces = []
-    for exponents in sorted(terms, key=_grlex_key):
-        coeff = terms[exponents]
+    for exponents, coeff in _grlex_terms(poly, precision_bits):
         if isinstance(coeff, Fraction):
-            if coeff == 0:
-                continue
             cstr = decimal_string(coeff, digits) \
                 if coeff.denominator != 1 else str(coeff.numerator)
         else:
-            lo, hi = interval_inf(coeff), interval_sup(coeff)
-            cstr = decimal_string((lo + hi) / 2, digits)
+            cstr = decimal_string(interval_mid(coeff), digits)
         mono = "*".join("x%d^%d" % (i + 1, e) if e > 1 else "x%d" % (i + 1)
                         for i, e in enumerate(exponents) if e)
         pieces.append(cstr if not mono else "%s*%s" % (cstr, mono))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -52,13 +53,19 @@ def m5_model(tmp_path_factory):
 
 
 def set_ellipsoids(key, value):
-    """An edit of every ellipsoid factor and of its copy in sites."""
+    """An edit of every ellipsoid factor and of its copy in sites; a
+    callable `value` maps the old value to the new one."""
     def edit(data):
         factors = [f for stage in data["polynomial"]["stages"]
                    for f in stage["factors"] if f["kind"] == "ellipsoid"]
         for factor in factors + [site["factor"] for site in data["sites"]]:
-            factor[key] = value
+            factor[key] = value(factor[key]) if callable(value) else value
     return edit
+
+
+def times_1000(rational):
+    h = Fraction(rational) * 1000
+    return "%d/%d" % (h.numerator, h.denominator)
 
 
 def move_site(data):
@@ -82,8 +89,8 @@ def set_variables(data):
     data["polynomial"]["variables"] = 3
 
 
-# edits that leave the spec, the arrangement and the heights alone, so only
-# the rebuild on load can refuse them
+# edits that leave the spec and the arrangement alone, so only the rebuild
+# on load, or its re-certification of the heights, can refuse them
 MODEL_TAMPERS = [
     ("site_sector", move_site),
     ("derived_fields", shift_derived),
@@ -94,6 +101,8 @@ MODEL_TAMPERS = [
     ("transverse_99", set_ellipsoids("transverse", [99])),
     ("deficit_vars_99", set_deficits),
     ("variables_3", set_variables),
+    # x2 is still a certified height on this model; x1000 is not
+    ("heights_x1000", set_ellipsoids("height", times_1000)),
 ]
 
 KIND_SWAP = {"annulus_outer": "annulus_inner",
@@ -272,7 +281,10 @@ class TestVerify:
         write_json(path, data)
         code = main(["verify", "--model", str(path), "--points", "2000"])
         assert code == 4
-        assert "certification failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "certification failed" in err
+        if name == "heights_x1000":
+            assert "ellipsoid at sector 1 stage 1" in err
 
     @pytest.mark.parametrize("command,part,edit", [
         ("verify", "arrangement", lambda a: a["circles"][0].update(d="1/0")),

@@ -1,6 +1,7 @@
 """Factored polynomials: exact expansion, evaluation, degrees, fibers."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from reebforge import (NoFactors, build_arrangement, degree,
                        eval_and_gradient, evaluate_floats, expand,
                        fiber_word, nonsingular_extension, region_polynomial,
                        render_text, synthesize, validated)
-from reebforge.poly import FactoredPolynomial, SurfaceModel, evaluate_terms, \
-    expand_terms
+from reebforge.numbers import BoxArray, float_bounds
+from reebforge.poly import BoxConsts, FactoredPolynomial, SurfaceModel, \
+    _disk_planar_box, _factor_value, certify_ellipsoid_inside, \
+    evaluate_boxes, evaluate_terms, expand_terms, staged_polynomial
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
 
@@ -234,9 +237,76 @@ class TestExpand:
         assert "-0.5625" in text and "x3^2" in text
 
 
+def grid(lo, hi, cells):
+    edges = np.linspace(float_bounds(lo)[0], float_bounds(hi)[1], cells + 1)
+    return edges[:-1], edges[1:]
+
+
+def box_cover_witness(poly, site, cells=10):
+    """The (2+t)-dimensional certificate the planar bound replaced: over
+    cells^2 x 3^t boxes of the ellipsoid's bounding box, each box is
+    certifiably outside the ellipsoid or certifiably positive; the cover
+    is refined up to eight times."""
+    t = len(site.transverse)
+    assert t <= 3, "3^t boxes per planar cell"
+    x_lo, x_hi, y_lo, y_hi = _disk_planar_box(site)
+    for n in (cells, 2 * cells, 4 * cells, 8 * cells):
+        axes = [grid(x_lo, x_hi, n), grid(y_lo, y_hi, n)] + \
+            [grid(-site.height, site.height, 3)] * t
+        los = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        his = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+        boxes = [BoxArray(lo.ravel(), hi.ravel()) for lo, hi in zip(los, his)]
+        boxes += [BoxArray.exact(0.0)] * (poly.num_vars - len(boxes))
+        outside = _factor_value(site, boxes, BoxConsts()).lo > 0
+        if np.all(outside | (evaluate_boxes(poly, boxes).lo > 0)):
+            return True
+    return False
+
+
+def earlier_stages(model):
+    """(P_{s-1}, ellipsoid) for every site of the model, in stage order."""
+    heights = iter(f.height for s in model.polynomial.stages
+                   for f in s.factors if f.kind == "ellipsoid")
+    pairs = []
+
+    def record(poly, site, where):
+        site = replace(site, height=next(heights))
+        pairs.append((poly, site))
+        return site.height
+
+    staged_polynomial(model.spec, model.arrangement, record)
+    return pairs
+
+
+class TestContainment:
+    @pytest.mark.parametrize("name", [n for n, _ in HANDLE_CORPUS])
+    def test_heights_pass_both_certificates(self, corpus_models, name):
+        pairs = earlier_stages(corpus_models[name])
+        assert pairs
+        for poly, site in pairs:
+            assert box_cover_witness(poly, site)
+            assert certify_ellipsoid_inside(poly, site)
+        poly, site = pairs[0]
+        tall = replace(site, height=site.height * 1000)
+        assert not certify_ellipsoid_inside(poly, tall)
+        assert not box_cover_witness(poly, tall)
+
+
+# the supported envelope at its edge: a doubled stage at m = 13, and eight
+# stages at m = 17
+ENVELOPE = [
+    ("m13 doubled stage", circle_spec(
+        (2, 2, 2), dimension=13,
+        handles=(((1, 1), (1, 1, 1, 2, 1, 1)), ((2, 1), (1, 1, 1, 1, 1, 2))))),
+    ("m17 eight stages", circle_spec(
+        (2, 2, 2), dimension=17,
+        handles=(((1, 1), (1,) * 8), ((2, 2), (1,) * 8)))),
+]
+
+
 class TestModelJson:
-    @pytest.mark.parametrize("name,spec",
-                             NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS)
+    @pytest.mark.parametrize(
+        "name,spec", NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS + ENVELOPE)
     def test_round_trip(self, name, spec):
         model = synthesize(validated(spec))
         again = SurfaceModel.from_json(model.to_json())
