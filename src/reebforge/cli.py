@@ -7,7 +7,10 @@ domain extension, and test an embedded graph against the realizability
 conditions.
 
 Exit codes: 0 success, 1 failed graph conditions (check-graph only),
-2 invalid input, 3 packing failure, 4 certification failure.  Every
+2 invalid input, 3 packing failure, 4 certification failure.  `verify`
+takes --points of at least 1 and --seed of at least 0 with
+(seed + 1) * points at most 2**53, and --oracle-res components of at least
+1; anything else exits 2.  Every
 subcommand that loads a model (verify, plot --model, export, extend)
 rebuilds it from its spec, arrangement and ellipsoid heights, re-certifying
 each height, and exits 4 when a height or the stored file is refused.
@@ -122,7 +125,11 @@ def _parse_resolution(text: str) -> tuple[int, int]:
     radial, sep, angular = text.partition("x")
     if not sep:
         raise ValueError("resolution must look like 1024x512")
-    return int(radial), int(angular)
+    radial, angular = int(radial), int(angular)
+    if radial < 1 or angular < 1:
+        raise ValueError("resolution components must be at least 1, got %s"
+                         % text)
+    return radial, angular
 
 
 def cmd_synthesize(args) -> int:
@@ -263,11 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True, help="model JSON file")
     v.add_argument("--out", default=None, help="directory for the certificate")
     v.add_argument("--oracle-res", default="512x256",
-                   help="sampling grid, radial x angular")
+                   help="sampling grid, radial x angular, each at least 1")
     v.add_argument("--points", type=int, default=20000,
-                   help="membership sample size")
+                   help="membership sample size, at least 1")
     v.add_argument("--seed", type=int, default=0,
-                   help="membership sample offset")
+                   help="membership sample offset, at least 0; "
+                        "(seed + 1) * points may not exceed 2**53")
     v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plot", help="render the arrangement as SVG")

@@ -26,6 +26,7 @@ bounded number of times.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,19 @@ def _overlap_pairs(runs_a: list, runs_b: list):
 def _circular_gap(x: float, y: float) -> float:
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
+
+
+def _place(arr: CircleArrangement, pos) -> str:
+    """A sweep position with the part of the arrangement that holds it: its
+    sector in circle mode, the strip between two walls in line mode."""
+    if arr.mode == "circle":
+        if not arr.k:
+            return "turn %s" % pos
+        return "turn %s (sector %d)" % (pos, math.floor(pos * arr.k) % arr.k)
+    walls = arr.abscissae
+    strip = min(max(bisect.bisect_right(walls, pos), 1), len(walls) - 1)
+    return "x = %s (strip %d, between walls x = %s and x = %s)" % (
+        pos, strip, walls[strip - 1], walls[strip])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +181,10 @@ def _circle_complex(arr: CircleArrangement, radial_res: int,
         rr = (d * math.sin(half_sector)) ** 2
         inside &= (x - cx) ** 2 + (y - cy) ** 2 > rr
     runs = [_runs_of(inside[s]) for s in range(len(slices))]
-    if any(not r for r in runs):
-        raise ResolutionTooCoarse("empty slice inside the annulus")
+    for position, slice_runs in zip(slices, runs):
+        if not slice_runs:
+            raise ResolutionTooCoarse("empty slice at %s inside the annulus"
+                                      % _place(arr, position))
     return _Complex(slice_positions=slices, runs=runs, cyclic=True)
 
 
@@ -199,8 +215,10 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
     if first is None:
         raise ResolutionTooCoarse("no sample landed inside the ellipse")
     last = max(i for i, r in enumerate(runs) if r)
-    if any(not runs[i] for i in range(first, last + 1)):
-        raise ResolutionTooCoarse("empty slice inside the ellipse")
+    for i in range(first, last + 1):
+        if not runs[i]:
+            raise ResolutionTooCoarse("empty slice at %s inside the ellipse"
+                                      % _place(arr, slices[i]))
     return _Complex(slice_positions=slices[first:last + 1],
                     runs=runs[first:last + 1], cyclic=False)
 
@@ -231,7 +249,8 @@ def _nearest_event(pos, events, cyclic):
 
 
 def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
-                mode: str) -> ReebGraphResult:
+                arr: CircleArrangement) -> ReebGraphResult:
+    mode = arr.mode
     nodes, succ, pred, junction = complex_.extract()
     slices = complex_.slice_positions
     n = len(nodes)
@@ -310,23 +329,29 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
         return merger.find(slot[root])
 
     for pos in final_positions.values():
-        if _nearest_event(pos, event_positions, complex_.cyclic)[1] > tolerance:
+        nearest, gap = _nearest_event(pos, event_positions, complex_.cyclic)
+        if gap > tolerance:
             raise ResolutionTooCoarse(
-                "junction near %s matches no tangency" % pos)
+                "junction near %s matches no tangency%s"
+                % (_place(arr, pos), "" if nearest is None else
+                   "; the nearest is at %s" % _place(arr, nearest)))
     for e in event_positions:
         near = [c for c, pos in final_positions.items()
                 if _gap(pos, e, complex_.cyclic) <= tolerance]
         if not near:
-            raise ResolutionTooCoarse("no junction near tangency %s" % e)
+            raise ResolutionTooCoarse("no junction near the tangency at %s"
+                                      % _place(arr, e))
         if len(near) > 1:
-            raise ResolutionTooCoarse("split junction near tangency %s" % e)
+            raise ResolutionTooCoarse("split junction near the tangency "
+                                      "at %s" % _place(arr, e))
     for a, b in edges:
         if final_of(a) == final_of(b):
             ea, ga = _nearest_event(positions[a], event_positions,
                                     complex_.cyclic)
             if ga <= tolerance:
                 raise ResolutionTooCoarse(
-                    "flickering gap near tangency %s" % ea)
+                    "flickering gap near the tangency at %s"
+                    % _place(arr, ea))
 
     order = sorted(final_positions, key=lambda c: final_positions[c])
     index = {c: i for i, c in enumerate(order)}
@@ -390,7 +415,7 @@ def brute_oracle_reeb(arr: CircleArrangement, radial_res: int = 512,
                 events = sorted(touched | {-arr.ellipse_axes[0],
                                            arr.ellipse_axes[0]})
                 tol = float(4 * arr.ellipse_axes[0]) / ares + 2.0 ** -9
-            return _read_graph(complex_, events, tol, arr.mode)
+            return _read_graph(complex_, events, tol, arr)
         except ResolutionTooCoarse as exc:
             failure = exc
     raise failure
@@ -485,14 +510,36 @@ def smooth_degree_two(result: ReebGraphResult) -> ReebGraphResult:
 # sign versus membership sampling
 # ---------------------------------------------------------------------------
 
-def _radical_inverse(index: int, base: int) -> Fraction:
-    """Van der Corput radical inverse, exact."""
-    num, denom = 0, 1
-    while index:
-        index, digit = divmod(index, base)
-        num = num * base + digit
-        denom *= base
-    return Fraction(num, denom)
+def _radical_inverses(indices: np.ndarray,
+                      base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Van der Corput radical inverses num/den of positive indices as int64
+    arrays: each index's base-`base` digits reversed into num, over den =
+    base**(digit count).  Indices up to 2**53 keep den inside int64; a
+    non-positive index has no digits and maps to 0/1."""
+    rest = np.asarray(indices, dtype=np.int64)
+    num = np.zeros_like(rest)
+    den = np.ones_like(rest)
+    live = rest > 0
+    while live.any():
+        rest, digit = np.divmod(rest, base)
+        num = np.where(live, num * base + digit, num)
+        den = np.where(live, den * base, den)
+        live = rest > 0
+    return num, den
+
+
+def _halton_axis(indices: np.ndarray, base: int, half: Fraction):
+    """Coordinates 2*half*r - half of the radical inverses r = num/den, as
+    floats and as exact integer ratios tops[i] / dens[i].  With half = p/q
+    the ratio is p*(2*num - den) / (q*den), kept as Python ints so any p and
+    q fit; int true division rounds it correctly, exactly as
+    `Fraction.__float__` would."""
+    num, den = _radical_inverses(indices, base)
+    p, q = half.numerator, half.denominator
+    tops = [p * t for t in (2 * num - den).tolist()]
+    dens = [q * d for d in den.tolist()]
+    floats = np.array([t / d for t, d in zip(tops, dens)])
+    return floats, tops, dens
 
 
 def _sample_box(arr: CircleArrangement) -> tuple[Fraction, Fraction]:
@@ -512,10 +559,13 @@ class MembershipReport:
 
     Points land on the zero slice of every non-planar coordinate, where the
     polynomial equals the plain product of its factors and the region is the
-    planar region minus the removed ellipsoid disks.  Float screening flags
-    suspects, which are then settled with certified interval margins: every
-    factor evaluated by `poly._factor_value` on mpmath intervals.  A point
-    whose certified margin to any factor boundary falls inside the band is
+    planar region minus the removed ellipsoid disks.  The sample is a
+    base-2/base-3 Halton sequence built from integer digit arrays, each
+    coordinate an exact ratio rounded once to float; exact `Fraction`
+    points are built only for suspects.  Float screening flags suspects,
+    which are then settled with certified interval margins: every factor
+    evaluated by `poly._factor_value` on mpmath intervals.  A point whose
+    certified margin to any factor boundary falls inside the band is
     exempt."""
 
     count: int
@@ -545,23 +595,32 @@ def membership_check(model, count: int = 20000, seed: int = 0,
                      bits: int = 192) -> MembershipReport:
     """Check sign(P) == region membership at quasirandom planar points.
 
+    The points have Halton indices seed*count + 1 .. (seed + 1)*count in
+    bases 2 and 3, scaled to the sampling box.  Radical inverses come from
+    int64 digit arrays; each coordinate is an integer ratio converted by
+    Python's correctly rounded int division, so it is the float nearest the
+    exact point, and `Fraction` points are made only for suspects.  Raises
+    ValueError before sampling unless count >= 1, seed >= 0 and
+    (seed + 1)*count <= 2**53.
+
     The float pass evaluates the full polynomial (deficit squares included,
     they vanish on the slice) and, separately, every factor's margin through
     `_factor_value` on floats.  Disagreements and near-boundary points are
     re-decided with the same factor values on `bits`-bit mpmath intervals
     and a certified enclosure of the polynomial; only a certified
     disagreement outside the band counts as a mismatch."""
+    if count < 1 or seed < 0 or (seed + 1) * count > 2 ** 53:
+        raise ValueError("membership sample needs points >= 1, seed >= 0 and "
+                         "(seed + 1) * points <= 2**53, got points %d, seed %d"
+                         % (count, seed))
     poly = model.polynomial
     factors = [f for stage in poly.stages for f in stage.factors]
     half_x, half_y = _sample_box(model.arrangement)
 
-    base = seed * count
-    xs_exact = [2 * half_x * _radical_inverse(base + i + 1, 2) - half_x
-                for i in range(count)]
-    ys_exact = [2 * half_y * _radical_inverse(base + i + 1, 3) - half_y
-                for i in range(count)]
-    x = np.array([float(v) for v in xs_exact])
-    y = np.array([float(v) for v in ys_exact])
+    indices = np.arange(seed * count + 1, (seed + 1) * count + 1,
+                        dtype=np.int64)
+    x, x_tops, x_dens = _halton_axis(indices, 2, half_x)
+    y, y_tops, y_dens = _halton_axis(indices, 3, half_y)
 
     points = np.zeros((poly.num_vars, count))
     points[0], points[1] = x, y
@@ -580,8 +639,9 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     band_points = 0
     mismatches = []
     pad = [Fraction(0)] * (poly.num_vars - 2)
-    for i in suspect:
-        px, py = xs_exact[int(i)], ys_exact[int(i)]
+    for i in suspect.tolist():
+        px = Fraction(x_tops[i], x_dens[i])
+        py = Fraction(y_tops[i], y_dens[i])
         with interval_precision(bits):
             point = [to_interval(p) for p in [px, py] + pad]
             bounds = [(interval_inf(v), interval_sup(v)) for v in

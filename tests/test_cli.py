@@ -302,6 +302,28 @@ class TestVerify:
         assert main([command, "--model", str(path), "--out", str(out)]) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--points", "0"], "got points 0, seed 0"),
+        (["--seed", "-1"], "got points 20000, seed -1"),
+        (["--points", "1", "--seed", str(2 ** 53)], "seed %d" % 2 ** 53),
+        (["--oracle-res", "0x0"], "at least 1, got 0x0"),
+        (["--oracle-res", "512x0"], "at least 1, got 512x0"),
+    ], ids=["points_0", "seed_-1", "index_2**53+1", "res_0x0", "res_512x0"])
+    def test_out_of_range_sample_is_exit_two(self, tmp_path, capsys,
+                                             flags, message):
+        out = synthesized(tmp_path)
+        code = main(["verify", "--model", str(out / "model.json")] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and message in err
+
+    def test_largest_sample_index_verifies(self, tmp_path, capsys):
+        out = synthesized(tmp_path)
+        code = main(["verify", "--model", str(out / "model.json"),
+                     "--points", "1", "--seed", str(2 ** 53 - 1)])
+        assert code == 0
+        assert "membership: 1 points" in capsys.readouterr().out
+
 
 class TestPlot:
     def test_from_spec(self, tmp_path):

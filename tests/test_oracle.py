@@ -3,12 +3,15 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from reebforge import (brute_oracle_reeb, build_arrangement, membership_check,
                        results_match, smooth_degree_two, sweep_reeb,
                        synthesize, validated)
-from reebforge.oracle import _radical_inverse
+from reebforge.errors import ResolutionTooCoarse
+from reebforge.numbers import format_rational
+from reebforge.oracle import _halton_axis, _radical_inverses, _sample_box
 from reebforge.sweep import ReebEdge, ReebGraphResult, ReebVertex
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec
@@ -156,6 +159,12 @@ class TestMembership:
         sample = report.mismatches[0]
         assert set(sample) == {"point", "sign_positive", "inside_region"}
         assert sample["sign_positive"] != sample["inside_region"]
+        # every reported point is an exact point of the sample
+        half_x, half_y = _sample_box(model.arrangement)
+        xs = exact_coordinates(half_x, exact_radical_inverses(2, 4000, 0))
+        ys = exact_coordinates(half_y, exact_radical_inverses(3, 4000, 0))
+        points = set(zip(map(format_rational, xs), map(format_rational, ys)))
+        assert all(tuple(m["point"]) in points for m in report.mismatches)
 
     def test_report_json_shape(self):
         model = synthesize(validated(circle_spec((2, 2, 1))))
@@ -180,20 +189,75 @@ class TestMembership:
         assert a.inside != b.inside
 
 
-class TestRadicalInverse:
+def exact_radical_inverses(base, count, seed):
+    """The radical inverses of the membership sample as exact Fractions,
+    one index at a time: the reference for the vectorised digit arrays."""
+    def radical_inverse(index):
+        num, denom = 0, 1
+        while index:
+            index, digit = divmod(index, base)
+            num = num * base + digit
+            denom *= base
+        return Fraction(num, denom)
+    start = seed * count
+    return [radical_inverse(start + i + 1) for i in range(count)]
+
+
+def exact_coordinates(half, inverses):
+    return [2 * half * r - half for r in inverses]
+
+
+class TestRadicalInverses:
     def test_base_two_bit_reversal(self):
-        got = [_radical_inverse(i, 2) for i in range(1, 8)]
+        num, den = _radical_inverses(np.arange(1, 8), 2)
+        got = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
         assert got == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
                        Fraction(1, 8), Fraction(5, 8), Fraction(3, 8),
                        Fraction(7, 8)]
 
     def test_base_three(self):
-        assert _radical_inverse(1, 3) == Fraction(1, 3)
-        assert _radical_inverse(2, 3) == Fraction(2, 3)
-        assert _radical_inverse(3, 3) == Fraction(1, 9)
-        assert _radical_inverse(4, 3) == Fraction(4, 9)
+        num, den = _radical_inverses(np.arange(1, 5), 3)
+        assert num.tolist() == [1, 2, 1, 4]
+        assert den.tolist() == [3, 3, 9, 9]
 
     def test_values_stay_in_the_unit_interval(self):
-        for i in range(1, 200):
-            x = _radical_inverse(i, 2)
-            assert 0 < x < 1
+        num, den = _radical_inverses(np.arange(1, 200), 2)
+        assert np.all(0 < num) and np.all(num < den)
+
+
+HALF_EXTENTS = [Fraction(27, 16), Fraction(1207959543, 536870912),
+                Fraction(2 ** 71 + 1, 2 ** 70 + 3)]
+
+
+class TestHaltonSample:
+    @pytest.mark.parametrize("count,seed", [(20000, 0), (20000, 5),
+                                            (100000, 0), (100000, 5)])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_matches_the_exact_path(self, base, count, seed):
+        assert HALF_EXTENTS[2].denominator.bit_length() >= 70
+        inverses = exact_radical_inverses(base, count, seed)
+        indices = np.arange(seed * count + 1, (seed + 1) * count + 1)
+        for half in HALF_EXTENTS:
+            exact = exact_coordinates(half, inverses)
+            floats, tops, dens = _halton_axis(indices, base, half)
+            assert floats.tobytes() == np.array(
+                [float(v) for v in exact]).tobytes(), half
+            for i in range(0, count, 97):
+                assert Fraction(tops[i], dens[i]) == exact[i]
+
+
+class TestFailureNames:
+    def test_circle_junction_names_sector_and_tangency(self):
+        arr = build_arrangement(validated(circle_spec((3, 1, 2, 1))))
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"junction near turn 43/128 \(sector 1\) "
+                                 r"matches no tangency; the nearest is at "
+                                 r"turn 1/4 \(sector 1\)"):
+            brute_oracle_reeb(arr, 64, 64, max_refinements=0)
+
+    def test_line_tangency_names_strip_walls(self, corpus_models):
+        arr = corpus_models["line (1,3,2,1)"].arrangement
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"at x = -1 \(strip 1, between walls "
+                                 r"x = -1 and x = -1/2\)"):
+            brute_oracle_reeb(arr, 8, 8, max_refinements=0)
