@@ -207,7 +207,7 @@ def exact_coordinates(half, inverses):
     return [2 * half * r - half for r in inverses]
 
 
-class TestRadicalInverses:
+class TestRadicalInverse:
     def test_base_two_bit_reversal(self):
         num, den = _radical_inverses(np.arange(1, 8), 2)
         got = [Fraction(int(n), int(d)) for n, d in zip(num, den)]
