@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 failed graph conditions (check-graph only),
 2 invalid input, 3 packing failure, 4 certification failure.  `verify`
 takes --points of at least 1 and --seed of at least 0 with
 (seed + 1) * points at most 2**53, and --oracle-res components of at least
-1; anything else exits 2.  Every
+1; anything else exits 2 before the model is loaded.  Every
 subcommand that loads a model (verify, plot --model, export, extend)
 rebuilds it from its spec, arrangement and ellipsoid heights, re-certifying
 each height, and exits 4 when a height or the stored file is refused.
@@ -33,8 +33,8 @@ from .graphs import (check_embedded_graph, embedded_graph_from_json,
                      graph_spec_to_json, validated)
 from .layout import CircleArrangement, certify_disjointness
 from .numbers import decimal_string, format_rational
-from .oracle import (brute_oracle_reeb, membership_check, results_match,
-                     smooth_degree_two)
+from .oracle import (brute_oracle_reeb, check_membership_sample,
+                     membership_check, results_match, smooth_degree_two)
 from .poly import SurfaceModel, expand, nonsingular_extension, render_text
 from .poly import synthesize as synthesize_model
 from .svgplot import arrangement_svg
@@ -150,11 +150,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    radial, angular = _parse_resolution(args.oracle_res)
+    check_membership_sample(args.points, args.seed)
     model = _load_model(args.model)
     arr = model.arrangement
     cert, result = _certificate(model)
 
-    radial, angular = _parse_resolution(args.oracle_res)
     oracle = brute_oracle_reeb(arr, radial_res=radial, angular_res=angular)
     if not results_match(smooth_degree_two(result), oracle):
         raise ModelMismatch("sampled region graph disagrees with the sweep")

@@ -446,9 +446,9 @@ def certify_disjointness(arr: CircleArrangement,
     if not entries:
         return DisjointnessReport((), Fraction(1), arr.epsilon)
     min_margin = min(m for _, m in entries)
-    for label, margin in entries:
-        if margin <= arr.epsilon:
-            raise MarginViolation(label, margin)
+    if min_margin <= arr.epsilon:
+        label, margin = next(e for e in entries if e[1] <= arr.epsilon)
+        raise MarginViolation(label, margin)
     return DisjointnessReport(tuple(entries), min_margin, arr.epsilon)
 
 
@@ -466,26 +466,23 @@ def _circle_mode_margins(arr: CircleArrangement, bits: int):
     inner = d_box * (BoxArray.exact(1.0) - s_box) - lo_box
     outer = hi_box - d_box * (BoxArray.exact(1.0) + s_box)
 
-    # cos of every bisector angle difference, enclosed once per distinct value
-    cos_cache: dict[Fraction, tuple[float, float]] = {}
-    cos_lo = np.ones((n, n))
-    cos_hi = np.ones((n, n))
+    # every pair i < j; two bisectors differ by (sector_i - sector_j) mod k
+    # sectors, so cos of a pair's angle is enclosed once per sector offset
+    # o, at turn o/k
+    first, second = np.triu_indices(n, 1)
+    sectors = np.array([c.sector for c in arr.circles])
+    offsets = (sectors[first] - sectors[second]) % arr.k
+    table_lo = np.ones(arr.k)
+    table_hi = np.ones(arr.k)
     with interval_precision(BOUND_BITS):
-        for i in range(n):
-            for j in range(i + 1, n):
-                dt = arr.bisector_turn(arr.circles[i].sector) \
-                    - arr.bisector_turn(arr.circles[j].sector)
-                dt -= dt.numerator // dt.denominator  # normalise to [0,1)
-                if dt not in cos_cache:
-                    _, cos_iv = turn_sin_cos(dt)
-                    c_lo = float_bounds(interval_inf(cos_iv))[0]
-                    c_hi = float_bounds(interval_sup(cos_iv))[1]
-                    cos_cache[dt] = (c_lo, c_hi)
-                cos_lo[i, j], cos_hi[i, j] = cos_cache[dt]
-    cos_box = BoxArray(cos_lo, cos_hi)
+        for o in set(offsets.tolist()):
+            _, cos_iv = turn_sin_cos(Fraction(o, arr.k))
+            table_lo[o] = float_bounds(interval_inf(cos_iv))[0]
+            table_hi[o] = float_bounds(interval_sup(cos_iv))[1]
+    cos_box = BoxArray(table_lo[offsets], table_hi[offsets])
 
-    di = BoxArray(d_lo[:, None], d_hi[:, None])
-    dj = BoxArray(d_lo[None, :], d_hi[None, :])
+    di = BoxArray(d_lo[first], d_hi[first])
+    dj = BoxArray(d_lo[second], d_hi[second])
     dist2 = di.square() + dj.square() - BoxArray.exact(2.0) * di * dj * cos_box
     dist = dist2.sqrt()
     pair = dist - (di + dj) * s_box
@@ -493,21 +490,15 @@ def _circle_mode_margins(arr: CircleArrangement, bits: int):
     eps_hi = float_bounds(arr.epsilon)[1]
     suspect_cut = eps_hi * 8
 
-    entries: list[tuple[str, Fraction]] = []
-    slow: list[str] = []
-
-    def _take(label: str, lo_val: float):
-        if not np.isfinite(lo_val) or lo_val <= suspect_cut:
-            slow.append(label)
-        else:
-            entries.append((label, Fraction(float(lo_val))))
-
-    for i in range(n):
-        _take("inner:%d" % i, np.atleast_1d(inner.lo)[i])
-        _take("outer:%d" % i, np.atleast_1d(outer.lo)[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            _take("pair:%d:%d" % (i, j), pair.lo[i, j])
+    labels = [kind % i for i in range(n) for kind in ("inner:%d", "outer:%d")]
+    labels += ["pair:%d:%d" % ij
+               for ij in zip(first.tolist(), second.tolist())]
+    lows = np.concatenate((np.stack((inner.lo, outer.lo), axis=1).ravel(),
+                           pair.lo))
+    fast = (np.isfinite(lows) & (lows > suspect_cut)).tolist()
+    entries = [(label, Fraction(lo)) for label, lo, ok
+               in zip(labels, lows.tolist(), fast) if ok]
+    slow = [label for label, ok in zip(labels, fast) if not ok]
 
     if slow:
         with interval_precision(bits):

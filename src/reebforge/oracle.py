@@ -16,6 +16,22 @@ widths decay like the square root of the angular distance to the tangency
 and level components of neighbouring sectors can only be told apart closer
 to the vertex than a uniform grid ever samples.
 
+Each removed disk is tested only on the samples of its window; outside it
+the float test cannot hold, so the mask equals testing every sample.  A
+circle-mode disk (centre C at distance d on a bisector, radius r = d*s,
+s = sin(pi/k)) fills its sector's wedge only in the band d(1 -+ s); the
+window widens the wedge by delta = 2*pi*_WEDGE_PAD/k a side and the band by
+the factor 1 + m, m = _RADIAL_PAD.  With D the angle to the bisector,
+|P - C|^2 - r^2 = (rho - d cos D)^2 + d^2 (sin^2 D - s^2) is, outside the
+window, at least d^2 sin(delta) sin(2*pi/k + delta) beside the wedge (rho
+in the band), d^2 (1 - s^2) for D >= pi/2 and 2ms(1 -+ s) d^2 / (1 + m)^2
+off the band: at least 1e-3/k^2 * (rho + d)^2.  Rounding of the sample's
+turn, cos or sin and product, of the centre, r^2 and the test stays below
+50 * 2^-53 * (rho + d)^2 < 6e-15 * (rho + d)^2, so for k <= 10^5 no sample
+outside the window tests inside.  In line mode the window is the disk's
+bounding box widened by m*r, outside which |P - C|^2 >= (1 + m)^2 r^2.
+The readout works on doubles of the slice and tangency positions.
+
 The oracle only measures the region, so its graph is the sweep graph with
 every degree-two vertex smoothed away; handle attachments do not change
 plane membership.  Structural failures (a disconnected sample complex, a
@@ -48,6 +64,9 @@ TAU = 2.0 * math.pi
 # extra slice offsets on both sides of every tangency angle / wall
 _LADDER_TURNS = tuple(Fraction(1, 1 << p) for p in (10, 14, 18, 22, 26, 30))
 _LADDER_STEPS = (8, 14, 20, 26)
+# widening of a removed disk's window, in sectors and in radii (docstring)
+_WEDGE_PAD = 1 / 16
+_RADIAL_PAD = 1 / 64
 
 
 class _DisjointSets:
@@ -68,14 +87,14 @@ class _DisjointSets:
             self.parent[ry] = rx
 
 
-def _runs_of(row: np.ndarray) -> list[tuple[int, int]]:
-    idx = np.flatnonzero(row)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, ends)]
+def _slice_runs(inside: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Runs (lo, hi) of True per row: the changes along the rows padded
+    with False pair up as each run's first index and the one after it."""
+    rows, cols = np.nonzero(np.diff(inside, axis=1, prepend=False,
+                                    append=False))
+    runs = list(zip(cols[0::2].tolist(), (cols[1::2] - 1).tolist()))
+    bounds = np.searchsorted(rows[0::2], np.arange(len(inside) + 1)).tolist()
+    return [runs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _overlap_pairs(runs_a: list, runs_b: list):
@@ -89,11 +108,6 @@ def _overlap_pairs(runs_a: list, runs_b: list):
             i += 1
         else:
             j += 1
-
-
-def _circular_gap(x: float, y: float) -> float:
-    d = abs(x - y) % 1.0
-    return min(d, 1.0 - d)
 
 
 def _place(arr: CircleArrangement, pos) -> str:
@@ -118,10 +132,11 @@ class _Complex:
     """Runs of all slices plus their adjacency, ready for graph readout."""
 
     slice_positions: list            # Fractions, sorted
+    slice_floats: np.ndarray         # the same positions as doubles
     runs: list                       # per slice, list of (lo, hi)
     cyclic: bool
 
-    def extract(self):
+    def extract(self, arr: CircleArrangement):
         node_of = []
         nodes = []
         for s, slice_runs in enumerate(self.runs):
@@ -142,8 +157,12 @@ class _Complex:
                 succ[u].append(v)
                 pred[v].append(u)
                 dsu.union(u, v)
-        if nodes and len({dsu.find(i) for i in range(len(nodes))}) > 1:
-            raise ResolutionTooCoarse("sampled region fell apart")
+        # nodes run in slice order, so this is a detached part's first run
+        apart = [u for u in range(len(nodes)) if dsu.find(u) != dsu.find(0)]
+        if apart:
+            raise ResolutionTooCoarse(
+                "sampled region fell apart; a detached part starts at %s"
+                % _place(arr, self.slice_positions[nodes[apart[0]][0]]))
         junction = [len(pred[i]) != 1 or len(succ[i]) != 1
                     for i in range(len(nodes))]
         return nodes, succ, pred, junction
@@ -153,44 +172,60 @@ class _Complex:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _circle_slices(arr: CircleArrangement, angular_res: int) -> list[Fraction]:
+def _circle_slices(tangency_turns, angular_res: int) -> list[Fraction]:
     positions = {Fraction(2 * i + 1, 2 * angular_res)
                  for i in range(angular_res)}
-    for e in tangency_events(arr):
+    for turn in tangency_turns:
         for step in _LADDER_TURNS:
-            positions.add((e.turn.turns + step) % 1)
-            positions.add((e.turn.turns - step) % 1)
+            positions.add((turn + step) % 1)
+            positions.add((turn - step) % 1)
     return sorted(positions)
 
 
+def _wedge_rows(turns: np.ndarray, lo: float, hi: float):
+    """Index ranges of the sorted turns in [0, 1) in the window lo..hi."""
+    lo, hi = lo % 1.0, hi % 1.0
+    a, b = np.searchsorted(turns, (lo, hi)).tolist()
+    if lo <= hi:
+        return ((a, b),)
+    return ((a, len(turns)), (0, b))
+
+
 def _circle_complex(arr: CircleArrangement, radial_res: int,
-                    angular_res: int) -> _Complex:
-    slices = _circle_slices(arr, angular_res)
-    theta = np.array([float(t) for t in slices]) * TAU
+                    angular_res: int, tangency_turns) -> _Complex:
+    slices = _circle_slices(tangency_turns, angular_res)
+    turns = np.array([float(t) for t in slices])
+    theta = turns * TAU
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     lo = math.log(float(arr.inner_radius))
     hi = math.log(float(arr.outer_radius))
     radii = np.exp(lo + (np.arange(radial_res) + 0.5) * (hi - lo) / radial_res)
-    x = np.cos(theta)[:, None] * radii[None, :]
-    y = np.sin(theta)[:, None] * radii[None, :]
-    inside = np.ones(x.shape, dtype=bool)
-    half_sector = math.pi / arr.k if arr.k else 0.0
+    inside = np.ones((len(slices), radial_res), dtype=bool)
+    s = math.sin(math.pi / arr.k) if arr.k else 0.0
     for c in arr.removed_circles():
         d = float(c.d)
         bis = TAU * float(arr.bisector_turn(c.sector))
         cx, cy = d * math.cos(bis), d * math.sin(bis)
-        rr = (d * math.sin(half_sector)) ** 2
-        inside &= (x - cx) ** 2 + (y - cy) ** 2 > rr
-    runs = [_runs_of(inside[s]) for s in range(len(slices))]
+        rr = (d * s) ** 2
+        # only the disk's window (module docstring) can test inside
+        c0, c1 = np.searchsorted(radii, (d * (1 - s) / (1 + _RADIAL_PAD),
+                                         d * (1 + s) * (1 + _RADIAL_PAD)))
+        for r0, r1 in _wedge_rows(turns, (c.sector - _WEDGE_PAD) / arr.k,
+                                  (c.sector + 1 + _WEDGE_PAD) / arr.k):
+            x = cos_t[r0:r1, None] * radii[None, c0:c1]
+            y = sin_t[r0:r1, None] * radii[None, c0:c1]
+            inside[r0:r1, c0:c1] &= (x - cx) ** 2 + (y - cy) ** 2 > rr
+    runs = _slice_runs(inside)
     for position, slice_runs in zip(slices, runs):
         if not slice_runs:
             raise ResolutionTooCoarse("empty slice at %s inside the annulus"
                                       % _place(arr, position))
-    return _Complex(slice_positions=slices, runs=runs, cyclic=True)
+    return _Complex(slice_positions=slices, slice_floats=turns, runs=runs,
+                    cyclic=True)
 
 
-def _line_complex(arr: CircleArrangement, vertical_res: int,
-                  horizontal_res: int) -> _Complex:
-    ax, ay = arr.ellipse_axes
+def _line_slices(arr: CircleArrangement, horizontal_res: int) -> list:
+    ax = arr.ellipse_axes[0]
     spacing = 2 * ax / arr.k
     positions = {-ax + (2 * i + 1) * ax / horizontal_res
                  for i in range(horizontal_res)}
@@ -201,16 +236,26 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
             for cand in (wall - step, wall + step):
                 if -ax < cand < ax:
                     positions.add(cand)
-    slices = sorted(positions)
+    return sorted(positions)
+
+
+def _line_complex(arr: CircleArrangement, vertical_res: int,
+                  horizontal_res: int) -> _Complex:
+    slices = _line_slices(arr, horizontal_res)
     xs = np.array([float(t) for t in slices])
+    ax, ay = arr.ellipse_axes
     ys = -float(ay) + (np.arange(vertical_res) + 0.5) * 2 * float(ay) / vertical_res
     fx, fy = float(ax), float(ay)
     inside = ((xs[:, None] / fx) ** 2 + (ys[None, :] / fy) ** 2) < 1.0
     for c in arr.circles:
         cx, cy = float(c.center[0]), float(c.center[1])
-        rr = float(c.radius) ** 2
-        inside &= (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 > rr
-    runs = [_runs_of(inside[s]) for s in range(len(slices))]
+        r = float(c.radius)
+        reach = r * (1 + _RADIAL_PAD)       # the window (module docstring)
+        r0, r1 = np.searchsorted(xs, (cx - reach, cx + reach))
+        c0, c1 = np.searchsorted(ys, (cy - reach, cy + reach))
+        inside[r0:r1, c0:c1] &= ((xs[r0:r1, None] - cx) ** 2
+                                 + (ys[None, c0:c1] - cy) ** 2 > r ** 2)
+    runs = _slice_runs(inside)
     first = next((i for i, r in enumerate(runs) if r), None)
     if first is None:
         raise ResolutionTooCoarse("no sample landed inside the ellipse")
@@ -220,6 +265,7 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
             raise ResolutionTooCoarse("empty slice at %s inside the ellipse"
                                       % _place(arr, slices[i]))
     return _Complex(slice_positions=slices[first:last + 1],
+                    slice_floats=xs[first:last + 1],
                     runs=runs[first:last + 1], cyclic=False)
 
 
@@ -227,37 +273,44 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
 # graph readout
 # ---------------------------------------------------------------------------
 
-def _cluster_positions(members_by_cluster, slices, cyclic):
+def _cluster_slices(members_by_cluster, slices, cyclic):
+    """Each cluster's median slice, read across a seam it straddles."""
     out = {}
+    half = Fraction(1, 2)
     for root, members in members_by_cluster.items():
-        turns = sorted(slices[s] for s in members)
-        if cyclic and float(turns[-1] - turns[0]) > 0.5:
-            half = Fraction(1, 2)
-            turns = sorted((t + 1 if t < half else t) for t in turns)
-        out[root] = turns[len(turns) // 2] % 1 if cyclic else turns[len(turns) // 2]
+        order = sorted(members, key=slices.__getitem__)
+        if cyclic and float(slices[order[-1]] - slices[order[0]]) > 0.5:
+            order.sort(key=lambda s: slices[s] + 1 if slices[s] < half
+                       else slices[s])
+        out[root] = order[len(order) // 2]
     return out
 
 
-def _nearest_event(pos, events, cyclic):
-    best = None
-    best_gap = None
-    for e in events:
-        g = _gap(pos, e, cyclic)
-        if best_gap is None or g < best_gap:
-            best, best_gap = e, g
-    return best, (1.0 if best_gap is None else best_gap)
+def _gaps(positions: np.ndarray, events: np.ndarray, cyclic: bool):
+    """Float distance from every position to every event, in turns round
+    the circle when cyclic."""
+    d = np.abs(np.subtract.outer(positions, events))
+    if cyclic:
+        d = d % 1.0
+        return np.minimum(d, 1.0 - d)
+    return d
 
 
 def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
                 arr: CircleArrangement) -> ReebGraphResult:
     mode = arr.mode
-    nodes, succ, pred, junction = complex_.extract()
+    nodes, succ, pred, junction = complex_.extract(arr)
     slices = complex_.slice_positions
+    floats = complex_.slice_floats
+    cyclic = complex_.cyclic
+    events = np.array([float(e) for e in event_positions])
     n = len(nodes)
 
     if not any(junction):
         if mode == "line" or event_positions:
-            raise ResolutionTooCoarse("no junctions found despite tangencies")
+            raise ResolutionTooCoarse(
+                "no junctions found despite tangencies; the first is at %s"
+                % _place(arr, event_positions[0]))
         return ReebGraphResult(no_vertex_circle=True, vertices=(), edges=())
 
     cluster = _DisjointSets(n)
@@ -270,7 +323,6 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
 
     # chains of regular runs between junction clusters
     raw_edges = []
-    visited = [False] * n
     for u in range(n):
         if not junction[u]:
             continue
@@ -282,21 +334,15 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
             w = v
             interior = []
             while not junction[w]:
-                visited[w] = True
-                interior.append(slices[nodes[w][0]])
-                if len(succ[w]) != 1:
-                    raise ResolutionTooCoarse("chain lost its thread")
+                interior.append(nodes[w][0])
                 w = succ[w][0]
             raw_edges.append((cluster.find(u), cluster.find(w), interior))
-    for u in range(n):
-        if not junction[u] and not visited[u]:
-            raise ResolutionTooCoarse("stray cycle of runs")
 
     members: dict[int, list[int]] = {}
     for u in range(n):
         if junction[u]:
             members.setdefault(cluster.find(u), []).append(nodes[u][0])
-    positions = _cluster_positions(members, slices, complex_.cyclic)
+    positions = _cluster_slices(members, slices, cyclic)
 
     # a chain that never leaves one tangency's neighbourhood is a sampling
     # artifact: the same vertex seen as a merge and a split a few ladder
@@ -304,15 +350,17 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
     # them; contract it
     roots = sorted(positions)
     slot = {root: i for i, root in enumerate(roots)}
+    # argmin takes the first of equally near events
+    gaps = _gaps(floats[[positions[root] for root in roots]], events, cyclic)
+    near, near_gap = gaps.argmin(axis=1), gaps.min(axis=1)
     merger = _DisjointSets(len(roots))
     edges = []
     for a, b, interior in raw_edges:
-        ea, ga = _nearest_event(positions[a], event_positions, complex_.cyclic)
-        eb, gb = _nearest_event(positions[b], event_positions, complex_.cyclic)
-        hugs = (ea is not None and ea == eb and ga <= tolerance
-                and gb <= tolerance
-                and all(_gap(t, ea, complex_.cyclic) <= tolerance
-                        for t in interior))
+        ea, ga = near[slot[a]], near_gap[slot[a]]
+        eb, gb = near[slot[b]], near_gap[slot[b]]
+        hugs = (ea == eb and ga <= tolerance and gb <= tolerance
+                and bool(np.all(_gaps(floats[interior], events[[ea]], cyclic)
+                                <= tolerance)))
         if hugs and a != b:
             merger.union(slot[a], slot[b])
         else:
@@ -322,38 +370,33 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
     for root in roots:
         final_members.setdefault(merger.find(slot[root]), []).extend(
             members[root])
-    final_positions = _cluster_positions(final_members, slices,
-                                         complex_.cyclic)
+    final = _cluster_slices(final_members, slices, cyclic)
 
     def final_of(root):
         return merger.find(slot[root])
 
-    for pos in final_positions.values():
-        nearest, gap = _nearest_event(pos, event_positions, complex_.cyclic)
+    gaps = _gaps(floats[list(final.values())], events, cyclic)
+    for s, e, gap in zip(final.values(), gaps.argmin(axis=1),
+                         gaps.min(axis=1)):
         if gap > tolerance:
             raise ResolutionTooCoarse(
-                "junction near %s matches no tangency%s"
-                % (_place(arr, pos), "" if nearest is None else
-                   "; the nearest is at %s" % _place(arr, nearest)))
-    for e in event_positions:
-        near = [c for c, pos in final_positions.items()
-                if _gap(pos, e, complex_.cyclic) <= tolerance]
-        if not near:
+                "junction near %s matches no tangency; the nearest is at %s"
+                % (_place(arr, slices[s]), _place(arr, event_positions[e])))
+    near_counts = np.count_nonzero(gaps <= tolerance, axis=0).tolist()
+    for e, count in zip(event_positions, near_counts):
+        if not count:
             raise ResolutionTooCoarse("no junction near the tangency at %s"
                                       % _place(arr, e))
-        if len(near) > 1:
+        if count > 1:
             raise ResolutionTooCoarse("split junction near the tangency "
                                       "at %s" % _place(arr, e))
     for a, b in edges:
-        if final_of(a) == final_of(b):
-            ea, ga = _nearest_event(positions[a], event_positions,
-                                    complex_.cyclic)
-            if ga <= tolerance:
-                raise ResolutionTooCoarse(
-                    "flickering gap near the tangency at %s"
-                    % _place(arr, ea))
+        if final_of(a) == final_of(b) and near_gap[slot[a]] <= tolerance:
+            raise ResolutionTooCoarse(
+                "flickering gap near the tangency at %s"
+                % _place(arr, event_positions[near[slot[a]]]))
 
-    order = sorted(final_positions, key=lambda c: final_positions[c])
+    order = sorted(final, key=final.get)
     index = {c: i for i, c in enumerate(order)}
 
     reeb_edges = tuple(
@@ -366,18 +409,12 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
         right = sum(1 for e in reeb_edges if e.source == i)
         if mode == "circle":
             vertices.append(ReebVertex(left, right,
-                                       angle=TurnAngle(final_positions[c])))
+                                       angle=TurnAngle(slices[final[c]])))
         else:
             vertices.append(ReebVertex(left, right,
-                                       abscissa=final_positions[c]))
+                                       abscissa=slices[final[c]]))
     return ReebGraphResult(no_vertex_circle=False, vertices=tuple(vertices),
                            edges=reeb_edges, mode=mode)
-
-
-def _gap(a, b, cyclic: bool) -> float:
-    if cyclic:
-        return _circular_gap(float(a), float(b))
-    return abs(float(a) - float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +433,28 @@ def brute_oracle_reeb(arr: CircleArrangement, radial_res: int = 512,
     times, and the last ResolutionTooCoarse propagates if the budget runs
     out.
     """
+    if arr.mode == "circle":
+        tangencies = tangency_events(arr)
+        ladder = {e.turn.turns for e in tangencies}
+        events = sorted({e.turn.turns for e in tangencies
+                         if e.role.kind == "removed"})
+    else:
+        touched = set()
+        for c in arr.circles:
+            touched.add(c.center[0] - c.radius)
+            touched.add(c.center[0] + c.radius)
+        events = sorted(touched | {-arr.ellipse_axes[0],
+                                   arr.ellipse_axes[0]})
     failure: ResolutionTooCoarse | None = None
     for attempt in range(max_refinements + 1):
         rres = radial_res << attempt
         ares = angular_res << attempt
         try:
             if arr.mode == "circle":
-                complex_ = _circle_complex(arr, rres, ares)
-                events = sorted({e.turn.turns for e in tangency_events(arr)
-                                 if e.role.kind == "removed"})
+                complex_ = _circle_complex(arr, rres, ares, ladder)
                 tol = 2.0 / ares + 2.0 ** -9
             else:
                 complex_ = _line_complex(arr, rres, ares)
-                touched = set()
-                for c in arr.circles:
-                    touched.add(c.center[0] - c.radius)
-                    touched.add(c.center[0] + c.radius)
-                events = sorted(touched | {-arr.ellipse_axes[0],
-                                           arr.ellipse_axes[0]})
                 tol = float(4 * arr.ellipse_axes[0]) / ares + 2.0 ** -9
             return _read_graph(complex_, events, tol, arr)
         except ResolutionTooCoarse as exc:
@@ -590,6 +631,14 @@ class MembershipReport:
         }
 
 
+def check_membership_sample(count: int, seed: int) -> None:
+    """Refuse a sample whose Halton indices would not fit int64 digits."""
+    if count < 1 or seed < 0 or (seed + 1) * count > 2 ** 53:
+        raise ValueError("membership sample needs points >= 1, seed >= 0 and "
+                         "(seed + 1) * points <= 2**53, got points %d, seed %d"
+                         % (count, seed))
+
+
 def membership_check(model, count: int = 20000, seed: int = 0,
                      band: Fraction = Fraction(1, 10 ** 9),
                      bits: int = 192) -> MembershipReport:
@@ -609,10 +658,7 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     re-decided with the same factor values on `bits`-bit mpmath intervals
     and a certified enclosure of the polynomial; only a certified
     disagreement outside the band counts as a mismatch."""
-    if count < 1 or seed < 0 or (seed + 1) * count > 2 ** 53:
-        raise ValueError("membership sample needs points >= 1, seed >= 0 and "
-                         "(seed + 1) * points <= 2**53, got points %d, seed %d"
-                         % (count, seed))
+    check_membership_sample(count, seed)
     poly = model.polynomial
     factors = [f for stage in poly.stages for f in stage.factors]
     half_x, half_y = _sample_box(model.arrangement)

@@ -310,9 +310,14 @@ class TestVerify:
         (["--oracle-res", "512x0"], "at least 1, got 512x0"),
     ], ids=["points_0", "seed_-1", "index_2**53+1", "res_0x0", "res_512x0"])
     def test_out_of_range_sample_is_exit_two(self, tmp_path, capsys,
-                                             flags, message):
-        out = synthesized(tmp_path)
-        code = main(["verify", "--model", str(out / "model.json")] + flags)
+                                             m5_model, flags, message):
+        # the flags are refused before the model loads: this model's
+        # heights alone would exit 4
+        data = copy.deepcopy(m5_model)
+        set_ellipsoids("height", times_1000)(data)
+        path = tmp_path / "model.json"
+        write_json(path, data)
+        code = main(["verify", "--model", str(path)] + flags)
         assert code == 2
         err = capsys.readouterr().err
         assert "invalid input" in err and message in err

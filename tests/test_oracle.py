@@ -1,6 +1,8 @@
 """Sampled region oracle, graph smoothing, membership spot checks."""
 
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +11,21 @@ import pytest
 from reebforge import (brute_oracle_reeb, build_arrangement, membership_check,
                        results_match, smooth_degree_two, sweep_reeb,
                        synthesize, validated)
+from reebforge import oracle
 from reebforge.errors import ResolutionTooCoarse
+from reebforge.layout import tangency_events
 from reebforge.numbers import format_rational
-from reebforge.oracle import _halton_axis, _radical_inverses, _sample_box
+from reebforge.oracle import (_circle_slices, _Complex, _halton_axis,
+                              _line_slices, _radical_inverses, _read_graph,
+                              _sample_box)
 from reebforge.sweep import ReebEdge, ReebGraphResult, ReebVertex
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec
+
+
+# a 64-vertex cycle, half of multiplicity 2 and half of 3, in a fixed
+# shuffled order
+WIDE_CYCLE = tuple(random.Random(64).sample([2] * 32 + [3] * 32, 64))
 
 
 def tampered(model, grow=3):
@@ -47,7 +58,8 @@ class TestBruteOracle:
         ((2, 3, 4, 2, 3), (512, 256)),
         ((4, 4, 4), (512, 256)),
         ((6, 1, 6), (2048, 512)),
-    ], ids=["3121", "23423", "444", "616"])
+        (WIDE_CYCLE, (512, 256)),
+    ], ids=["3121", "23423", "444", "616", "wide64"])
     def test_agrees_with_sweep_beyond_corpus(self, mults, resolution):
         arr = build_arrangement(validated(circle_spec(mults)))
         swept = smooth_degree_two(sweep_reeb(arr, 2))
@@ -261,3 +273,140 @@ class TestFailureNames:
                            match=r"at x = -1 \(strip 1, between walls "
                                  r"x = -1 and x = -1/2\)"):
             brute_oracle_reeb(arr, 8, 8, max_refinements=0)
+
+    def test_detached_part_names_its_first_slice(self, corpus_models):
+        arr = corpus_models["line (1,2,1)"].arrangement
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"^sampled region fell apart; a detached "
+                                 r"part starts at x = 1/2 \(strip 3, between "
+                                 r"walls x = 1/3 and x = 1\)$"):
+            _read_graph(hand_built([Fraction(-1, 2), Fraction(0),
+                                    Fraction(1, 2)],
+                                   [[(0, 3)], [(0, 3)], [(6, 9)]], False),
+                        [Fraction(-1), Fraction(1)], 0.1, arr)
+
+    def test_stray_cycle_is_a_detached_part(self, corpus_models):
+        # a closed column of regular runs beside a column with a junction;
+        # every regular run lies on a chain from a junction unless it is
+        # cut off like this, so the connectivity check names it
+        arr = corpus_models["(2,2,2)"].arrangement
+        column = [[(0, 5)], [(0, 1), (3, 5)], [(0, 5)], [(0, 5)]]
+        runs = [own + [(10, 12)] for own in column]
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"^sampled region fell apart; a detached "
+                                 r"part starts at turn 1/8 \(sector 0\)$"):
+            _read_graph(hand_built(EIGHTHS, runs, True), THIRDS, 0.1, arr)
+
+    def test_missing_junctions_name_the_first_tangency(self, corpus_models):
+        arr = corpus_models["(2,2,2)"].arrangement
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"^no junctions found despite tangencies; "
+                                 r"the first is at turn 1/3 \(sector 1\)$"):
+            _read_graph(hand_built(EIGHTHS, [[(0, 5)]] * 4, True),
+                        THIRDS[1:], 0.1, arr)
+
+
+EIGHTHS = [Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
+THIRDS = [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
+
+
+def hand_built(positions, runs, cyclic):
+    return _Complex(slice_positions=positions,
+                    slice_floats=np.array([float(t) for t in positions]),
+                    runs=runs, cyclic=cyclic)
+
+
+def full_grid_circle_mask(arr, turns, radial_res):
+    """The reference mask: every removed disk tested on every sample, as
+    the oracle did before it windowed the disks."""
+    theta = turns * (2.0 * math.pi)
+    lo = math.log(float(arr.inner_radius))
+    hi = math.log(float(arr.outer_radius))
+    radii = np.exp(lo + (np.arange(radial_res) + 0.5) * (hi - lo) / radial_res)
+    x = np.cos(theta)[:, None] * radii[None, :]
+    y = np.sin(theta)[:, None] * radii[None, :]
+    inside = np.ones(x.shape, dtype=bool)
+    half_sector = math.pi / arr.k if arr.k else 0.0
+    for c in arr.removed_circles():
+        d = float(c.d)
+        bis = 2.0 * math.pi * float(arr.bisector_turn(c.sector))
+        cx, cy = d * math.cos(bis), d * math.sin(bis)
+        rr = (d * math.sin(half_sector)) ** 2
+        inside &= (x - cx) ** 2 + (y - cy) ** 2 > rr
+    return inside
+
+
+def full_grid_line_mask(arr, xs, vertical_res):
+    ax, ay = arr.ellipse_axes
+    ys = -float(ay) + (np.arange(vertical_res) + 0.5) * 2 * float(ay) / vertical_res
+    fx, fy = float(ax), float(ay)
+    inside = ((xs[:, None] / fx) ** 2 + (ys[None, :] / fy) ** 2) < 1.0
+    for c in arr.circles:
+        cx, cy = float(c.center[0]), float(c.center[1])
+        rr = float(c.radius) ** 2
+        inside &= (xs[:, None] - cx) ** 2 + (ys[None, :] - cy) ** 2 > rr
+    return inside
+
+
+def oracle_mask(monkeypatch, arr, radial, angular):
+    """The mask the oracle reads its runs from, and its rows' positions."""
+    masks = []
+    slice_runs = oracle._slice_runs
+
+    def keep(inside):
+        masks.append(inside.copy())
+        return slice_runs(inside)
+
+    monkeypatch.setattr(oracle, "_slice_runs", keep)
+    if arr.mode == "circle":
+        turns = {e.turn.turns for e in tangency_events(arr)}
+        oracle._circle_complex(arr, radial, angular, turns)
+        rows = _circle_slices(turns, angular)
+    else:
+        oracle._line_complex(arr, radial, angular)
+        rows = _line_slices(arr, angular)
+    return masks[0], np.array([float(t) for t in rows])
+
+
+def full_grid_mask(arr, rows, radial):
+    if arr.mode == "circle":
+        return full_grid_circle_mask(arr, rows, radial)
+    return full_grid_line_mask(arr, rows, radial)
+
+
+MASK_CASES = NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS + [
+    ("wide64", circle_spec(WIDE_CYCLE))]
+
+
+class TestWindowedMask:
+    @pytest.mark.parametrize("doublings", [0, 1, 2])
+    @pytest.mark.parametrize("name,spec", MASK_CASES,
+                             ids=[name for name, _ in MASK_CASES])
+    def test_equals_the_full_grid(self, monkeypatch, name, spec, doublings):
+        arr = build_arrangement(validated(spec))
+        radial, angular = 512 << doublings, 256 << doublings
+        windowed, rows = oracle_mask(monkeypatch, arr, radial, angular)
+        assert np.array_equal(windowed, full_grid_mask(arr, rows, radial))
+
+    def test_a_window_one_row_too_narrow_is_caught(self, monkeypatch):
+        arr = build_arrangement(validated(circle_spec((2, 2, 2))))
+        # the rows that hold samples of the first removed disk
+        _, rows = oracle_mask(monkeypatch, arr, 512, 256)
+        first = dataclasses.replace(arr, circles=arr.removed_circles()[:1])
+        held = np.flatnonzero(~full_grid_mask(first, rows, 512).all(axis=1))
+        assert np.all(np.diff(held) == 1)
+        wedge_rows = oracle._wedge_rows
+        calls = []
+
+        def planted(turns, lo, hi):
+            calls.append(lo)
+            if len(calls) == 1:
+                return ((int(held[0]), int(held[-1])),)
+            return wedge_rows(turns, lo, hi)
+
+        monkeypatch.setattr(oracle, "_wedge_rows", planted)
+        windowed, _ = oracle_mask(monkeypatch, arr, 512, 256)
+        full = full_grid_mask(arr, rows, 512)
+        assert not np.array_equal(windowed, full)
+        assert np.flatnonzero((windowed != full).any(axis=1)).tolist() == [
+            held[-1]]
