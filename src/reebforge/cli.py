@@ -10,10 +10,14 @@ Exit codes: 0 success, 1 failed graph conditions (check-graph only),
 2 invalid input, 3 packing failure, 4 certification failure.  `verify`
 takes --points of at least 1 and --seed of at least 0 with
 (seed + 1) * points at most 2**53, and --oracle-res components of at least
-1; anything else exits 2 before the model is loaded.  Every
-subcommand that loads a model (verify, plot --model, export, extend)
-rebuilds it from its spec, arrangement and ellipsoid heights, re-certifying
-each height, and exits 4 when a height or the stored file is refused.
+1; `export` takes --precision-bits of at least 16, the floor of a spec's
+precision_bits and of REEBFORGE_PRECISION; anything else exits 2 before
+the model is loaded.  `export` prints an interval coefficient with only
+the digits its radius proves, and exits 4 as soon as a product in the
+expansion passes a million monomials.  Every subcommand that loads a model
+(verify, plot --model, export, extend) rebuilds it from its spec,
+arrangement and ellipsoid heights, re-certifying each height, and exits 4
+when a height or the stored file is refused.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .graphs import (check_embedded_graph, embedded_graph_from_json,
                      graph_spec_from_json, path_isomorphic, reeb_isomorphic,
                      graph_spec_to_json, validated)
 from .layout import CircleArrangement, certify_disjointness
-from .numbers import decimal_string, format_rational
+from .numbers import check_precision_bits, decimal_string, format_rational
 from .oracle import (brute_oracle_reeb, check_membership_sample,
                      membership_check, results_match, smooth_degree_two)
 from .poly import SurfaceModel, expand, nonsingular_extension, render_text
@@ -47,10 +51,7 @@ def _env_bits():
     raw = os.environ.get(PRECISION_ENV)
     if raw is None:
         return None
-    bits = int(raw)
-    if bits < 16:
-        raise ValueError("%s must be at least 16" % PRECISION_ENV)
-    return bits
+    return check_precision_bits(int(raw), PRECISION_ENV)
 
 
 def _read_json(path: str) -> dict:
@@ -202,6 +203,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.precision_bits is not None:
+        check_precision_bits(args.precision_bits, "--precision-bits")
     model = _load_model(args.model)
     out = _out_dir(args)
     if args.format == "text":
@@ -292,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--format", choices=("json", "text"), default="json")
-    e.add_argument("--precision-bits", type=int, default=None)
+    e.add_argument("--precision-bits", type=int, default=None,
+                   help="working precision of the interval coefficients, "
+                        "at least 16 (default 128)")
     e.set_defaults(func=cmd_export)
 
     x = sub.add_parser("extend",

@@ -23,6 +23,7 @@ from .errors import SpecValidationError, Violation
 from .numbers import (
     DEFAULT_PRECISION_BITS,
     TurnAngle,
+    check_precision_bits,
     format_rational,
     parse_rational,
 )
@@ -447,9 +448,8 @@ def graph_spec_from_json(data) -> GraphSpec:
     halfwidth = data.get("annulus_halfwidth")
     if halfwidth is not None:
         halfwidth = parse_rational(str(halfwidth))
-    bits = data.get("precision_bits", DEFAULT_PRECISION_BITS)
-    if not isinstance(bits, int) or isinstance(bits, bool) or bits < 16:
-        raise ValueError("precision_bits must be an integer >= 16")
+    bits = check_precision_bits(
+        data.get("precision_bits", DEFAULT_PRECISION_BITS), "precision_bits")
     return GraphSpec(
         mode=mode,
         vertices=vertices,

@@ -14,6 +14,7 @@ Nothing in here knows about circles or polynomials.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,21 @@ from mpmath import iv, mp
 Rational = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 128
+# the smallest working precision a spec, the environment or export accepts
+MIN_PRECISION_BITS = 16
 
 # dyadic accuracy used when rounding certified bounds back to small rationals
 BOUND_BITS = 64
+
+
+def check_precision_bits(bits, what: str) -> int:
+    """Return `bits` if it is an integer of at least MIN_PRECISION_BITS,
+    else raise ValueError naming `what`."""
+    if (not isinstance(bits, int) or isinstance(bits, bool)
+            or bits < MIN_PRECISION_BITS):
+        raise ValueError("%s must be an integer >= %d, got %r"
+                         % (what, MIN_PRECISION_BITS, bits))
+    return bits
 
 
 @contextmanager
@@ -280,3 +293,80 @@ def decimal_string(x, digits: int) -> str:
         if isinstance(x, Fraction):
             x = mp.mpf(x.numerator) / x.denominator
         return mp.nstr(x, digits, strip_zeros=True)
+
+
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> int:
+    return 10 ** k
+
+
+def _over_pow10(num: int, den: int, q: int) -> tuple[int, int]:
+    """num / (den * 10**q) as a ratio of integers."""
+    return (num * _pow10(-q), den) if q < 0 else (num, den * _pow10(q))
+
+
+def _ilog10(num: int, den: int) -> int:
+    """floor(log10(num / den)) for positive integers num and den."""
+    e = math.floor(math.log10(num) - math.log10(den))  # within 1 of it
+    a, b = _over_pow10(num, den, e)
+    if a < b:
+        return e - 1
+    a, b = _over_pow10(num, den, e + 1)
+    return e + 1 if a >= b else e
+
+
+def _decimal_text(n: int, q: int, digits: int) -> str:
+    """n * 10**q as a literal `Fraction(str)` parses: fixed point when the
+    leading digit's place lies in (-5, digits) and no zero need be padded
+    before the point, else scientific; trailing zeros are dropped."""
+    if not n:
+        return "0"
+    s = str(abs(n)).rstrip("0")
+    q += len(str(abs(n))) - len(s)
+    lead = len(s) - 1 + q
+    if -5 < lead < digits and q <= 0:
+        body = s.rjust(1 - q, "0")
+        body = body[:q] + "." + body[q:] if q else body
+    else:
+        body = s[0] + ("." + s[1:] if s[1:] else "") + "e%+d" % lead
+    return "-" * (n < 0) + body
+
+
+def decimal_ball(mid: int, rad: int, den: int,
+                 digits: int) -> tuple[str, str]:
+    """The ball [(mid - rad)/den, (mid + rad)/den], den > 0, as decimal
+    (coefficient, radius) strings, in integer arithmetic.
+
+    The coefficient c is mid/den rounded to at most `digits` significant
+    digits and to a last place whose unit u is at least 2*rad/den, so
+    |c - mid/den| + rad/den <= u: every printed digit is proved.  A ball
+    that contains 0, or whose leading digit is not proved, prints 0.  The
+    radius is |c - mid/den| + rad/den rounded up to three significant
+    digits, so c +- radius encloses the ball."""
+    # with den a power of two, first drop the bits of mid that `digits`
+    # cannot show, rounding the ball outward
+    drop = min(den.bit_length() - 1, abs(mid).bit_length() - 4 * digits - 64)
+    if drop > 0 and not den & (den - 1):
+        low = mid & ((1 << drop) - 1)
+        mid, den = mid >> drop, den >> drop
+        rad = (low + rad + (1 << drop) - 1) >> drop
+    if abs(mid) <= rad:
+        n = q = 0
+    else:
+        q = _ilog10(abs(mid), den) - digits + 1
+        a, b = _over_pow10(2 * rad, den, q)
+        if a > b:  # the least q with 10**q >= 2*rad/den
+            q = _ilog10(2 * rad, den)
+            a, b = _over_pow10(2 * rad, den, q)
+            q += a > b
+        a, b = _over_pow10(mid, den, q)
+        n, rest = divmod(a, b)
+        n += 2 * rest > b or (2 * rest == b and n % 2)  # nearest, ties even
+    # err = |n * 10**q - mid/den| + rad/den as err_num / err_den
+    a, b = _over_pow10(n, 1, -q)
+    err_num, err_den = abs(a * den - mid * b) + rad * b, b * den
+    if not err_num:
+        return _decimal_text(n, q, digits), "0"
+    r_q = _ilog10(err_num, err_den) - 2
+    a, b = _over_pow10(err_num, err_den, r_q)
+    return _decimal_text(n, q, digits), _decimal_text(-(-a // b), r_q, 3)

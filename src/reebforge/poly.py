@@ -16,9 +16,34 @@ Factors keep exact rational data (distances, turns, heights); the handful
 of irrational constants (cos/sin of rational turns, sin(pi/k)) are produced
 by pluggable constant pools, so one evaluation code, `_factor_value`, runs on
 plain float64 arrays, outward-rounded interval arrays, mpmath intervals, and
-sparse monomial dictionaries, which is how `expand_terms` expands the
-product.  The membership oracle evaluates its factor margins through the
+sparse monomial dictionaries, which give each factor's terms for the
+expansion.  The membership oracle evaluates its factor margins through the
 same code.
+
+The expansion (`_expand`) multiplies those terms in an integer kernel.
+Monomials are int64 keys, the exponents packed in mixed radix, so a
+product of monomials is a sum of keys.  The support of every partial
+product is found first, from the keys alone, and one past EXPANSION_GUARD
+monomials is refused before any coefficient is made.  Multiplying by a
+factor is then one multiply-add per term of the factor into the next
+support.  An exact model keeps integer numerators over a common
+denominator.  Otherwise each coefficient is a ball: integers mid and rad
+with the coefficient in [(mid - rad)/den, (mid + rad)/den], den a power of
+two.  The rounding is outward (midpoint-radius arithmetic; Moore, Kearfott
+and Cloud, SIAM 2009):
+* a factor coefficient's mpmath enclosure [lo, hi] has dyadic ends; with
+  L = floor(lo 2^s), H = ceil(hi 2^s), m = floor((L + H)/2) and
+  r = H - m >= m - L, it lies in [(m - r)/2^s, (m + r)/2^s];
+* if |x - a| <= rho and |y - b| <= sigma, then |xy - ab| <=
+  rho |b| + (rho + |a|) sigma, the radius the kernel adds, exactly, at
+  scale 1/(den 2^s); sums add mids and radii exactly;
+* with M = q 2^s + e and 0 <= e < 2^s, a value within R of M at scale
+  1/(den 2^s) lies within (e + R)/2^s <= ceil((e + R)/2^s) of q at
+  scale 1/den;
+* refining den by 2^k shifts mid and rad left, and a deficit -x_i^2 adds
+  -den/den, both exactly.
+So each ball holds the coefficient of the product of every choice of
+factor polynomials inside their enclosures, the model's among them.
 
 Which factor each stage holds, with which transverse and deficit
 variables, is decided once, by `staged_polynomial`, from the spec, the
@@ -32,6 +57,7 @@ as `synthesize` did, rebuilds the rest, and rejects a file that disagrees.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass, replace
@@ -41,6 +67,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import iv
+from mpmath.libmp import from_man_exp
 
 from .errors import ExpansionTooLarge, HeightFailure, ModelMismatch, NoFactors
 from .graphs import (
@@ -54,12 +81,12 @@ from .numbers import (
     BOUND_BITS,
     DEFAULT_PRECISION_BITS,
     BoxArray,
-    decimal_string,
+    check_precision_bits,
+    decimal_ball,
     dyadic_significant,
     float_bounds,
     format_rational,
     interval_inf,
-    interval_mid,
     interval_precision,
     interval_sup,
     parse_rational,
@@ -69,6 +96,9 @@ from .numbers import (
 )
 
 EXPANSION_GUARD = 10 ** 6
+# fixed-point bits of an interval expansion beyond the working precision,
+# which keep coefficients far below 1 to many proved digits
+EXPANSION_GUARD_BITS = 64
 DOUBLE_MAX = Fraction(sys.float_info.max)
 
 
@@ -694,8 +724,7 @@ def _factor_is_rational(f: Factor) -> bool:
 
 class _Terms:
     """Sparse polynomial, exponent tuple -> coefficient, with the ring
-    operations `_factor_value` and `_evaluate` use.  Products raise
-    ExpansionTooLarge past EXPANSION_GUARD monomials."""
+    operations `_factor_value` uses to build one factor's terms."""
 
     __slots__ = ("terms",)
 
@@ -722,13 +751,7 @@ class _Terms:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                if key in out:
-                    out[key] = out[key] + c1 * c2
-                else:
-                    out[key] = c1 * c2
-                if len(out) > EXPANSION_GUARD:
-                    raise ExpansionTooLarge("monomial count exceeded %d"
-                                            % EXPANSION_GUARD)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return _Terms(out)
 
 
@@ -761,84 +784,185 @@ class _TermConsts:
         return self._const(self.coeffs.sin_half(k))
 
 
+def _steps(poly: FactoredPolynomial, bits: Optional[int]):
+    """The product as steps (exponent rows, mids, rads, den, multiply):
+    each factor's terms from `_factor_value` over one-variable term
+    polynomials, multiplied in, and each deficit's -x_i^2, added.  Every
+    coefficient lies in [(mid - rad)/den, (mid + rad)/den].  Exact ones
+    (bits None) are numerators over their least common denominator.
+    Interval ones are balls around the outward-rounded mpmath endpoints,
+    den = 2**s fine enough to keep bits + EXPANSION_GUARD_BITS bits of the
+    smallest."""
+    n = poly.num_vars
+    coeffs = _ExactConsts() if bits is None else IvConsts()
+    pool = _TermConsts(n, coeffs)
+    steps = []
+    with interval_precision(bits or DEFAULT_PRECISION_BITS):
+        xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})
+              for i in range(n)]
+        for stage in poly.stages:
+            steps += [(_factor_value(f, xs, pool).terms, True)
+                      for f in stage.factors]
+            steps += [((-(xs[i] * xs[i])).terms, False)
+                      for i in stage.deficit_vars]
+    for terms, multiply in steps:
+        rows = np.array(list(terms), dtype=np.int64)
+        if bits is None:
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            yield (rows, [int(c * den) for c in terms.values()],
+                   [0] * len(terms), den, multiply)
+            continue
+        ends = [(interval_inf(c), interval_sup(c)) for c in terms.values()]
+        shift = bits + EXPANSION_GUARD_BITS + max(
+            [0] + [m.denominator.bit_length() - m.numerator.bit_length()
+                   for m in (max(abs(lo), abs(hi)) for lo, hi in ends) if m])
+        los = [(lo.numerator << shift) // lo.denominator for lo, _ in ends]
+        his = [-((-hi.numerator << shift) // hi.denominator)
+               for _, hi in ends]
+        mids = [(lo + hi) >> 1 for lo, hi in zip(los, his)]
+        yield (rows, mids, [hi - m for hi, m in zip(his, mids)], 1 << shift,
+               multiply)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys (a plain sort beats np.unique's hashing)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _expand(poly: FactoredPolynomial, precision_bits: Optional[int]):
+    """(exponents, mids, rads, den) of the expanded product, one row per
+    monomial of its support; rads is None when every factor is rational.
+    See the module docstring.  Every product's support is found, and one
+    past EXPANSION_GUARD monomials refused, before any coefficient is
+    made."""
+    if poly.factor_count() == 0:
+        raise NoFactors("cannot expand an empty polynomial")
+    bits = (DEFAULT_PRECISION_BITS if precision_bits is None
+            else check_precision_bits(precision_bits, "precision_bits"))
+    exact = all(_factor_is_rational(f) for s in poly.stages for f in s.factors)
+    steps = list(_steps(poly, None if exact else bits))
+    # monomial keys: exponent e_i / g_i in mixed radix, g_i the gcd of the
+    # variable's exponents and the radix past its degree bound
+    gcd = np.gcd.reduce(np.concatenate([s[0] for s in steps]), axis=0)
+    gcd[gcd == 0] = 1
+    radix = [int(t) + 1 for t in sum(s[0].max(axis=0) for s in steps) // gcd]
+    if math.prod(radix) >= 2 ** 63:
+        raise ExpansionTooLarge("exponent ranges need %d key bits, past int64"
+                                % math.prod(radix).bit_length())
+    weights = np.cumprod([1] + radix[:-1]).astype(np.int64)
+    keys = [(s[0] // gcd) @ weights for s in steps]
+    supports = [np.zeros(1, dtype=np.int64)]  # of the constant 1
+    for k, step in zip(keys, steps):
+        prev = supports[-1]
+        if not step[-1]:
+            supports.append(_distinct(np.concatenate([prev, k])))
+            continue
+        supports.append(_distinct((prev[None, :] + k[:, None]).ravel()))
+        if len(supports[-1]) > EXPANSION_GUARD:
+            raise ExpansionTooLarge("monomial count exceeded %d"
+                                    % EXPANSION_GUARD)
+    den = 1 if exact else 1 << bits + EXPANSION_GUARD_BITS
+    mids, rads = np.array([den], dtype=object), np.zeros(1, dtype=object)
+    for k, (_, ms, rs, d, multiply), prev, cur in zip(keys, steps, supports,
+                                                      supports[1:]):
+        out_m, out_r = np.zeros((2, len(cur)), dtype=object)
+        if not multiply:  # d divides den: 1, or a power of two up to den
+            at = np.searchsorted(cur, prev)
+            out_m[at], out_r[at] = mids, rads
+            at = np.searchsorted(cur, k)
+            out_m[at] += np.array(ms, dtype=object) * (den // d)
+            out_r[at] += np.array(rs, dtype=object) * (den // d)
+            mids, rads = out_m, out_r
+            continue
+        # terms of one coefficient, such as x^2 and y^2, share a product
+        groups: dict = {}
+        for key, cm, cr in zip(k, ms, rs):
+            groups.setdefault((cm, cr), []).append(key)
+        size = np.abs(mids)
+        for (cm, cr), group in groups.items():
+            term_m, term_r = mids * cm, rads * abs(cm)
+            if cr:
+                term_r += (rads + size) * cr
+            for key in group:  # each term maps the support in order
+                at = np.searchsorted(cur, prev + key)
+                out_m[at] += term_m
+                out_r[at] += term_r
+        if exact:
+            mids, rads, den = out_m, out_r, den * d
+            continue
+        # back from scale 1/(den*d) to 1/den, rounding outward
+        shift = d.bit_length() - 1
+        mids = out_m >> shift
+        rads = (out_m - (mids << shift) + out_r + d - 1) >> shift
+        # refine den exactly while a coefficient away from 0 is shorter
+        # than the precision and guard bits
+        away = np.abs(mids) > rads
+        if away.any():
+            short = bits + EXPANSION_GUARD_BITS - int(
+                np.min(np.abs(mids[away]))).bit_length()
+            if short > 0:
+                mids, rads, den = mids << short, rads << short, den << short
+    exponents = (supports[-1][:, None] // weights % radix) * gcd
+    return exponents, mids, None if exact else rads, den
+
+
 def expand_terms(poly: FactoredPolynomial,
                  precision_bits: Optional[int] = None) -> dict:
     """Monomial dictionary of the represented polynomial.  Coefficients are
-    exact Fractions when every factor is rational, else mpmath interval
-    enclosures at precision_bits."""
-    rational = all(_factor_is_rational(f)
-                   for s in poly.stages for f in s.factors)
-    if poly.factor_count() == 0:
-        raise NoFactors("cannot expand an empty polynomial")
-    n = poly.num_vars
-
-    def run(coeffs):
-        pool = _TermConsts(n, coeffs)
-        xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})
-              for i in range(n)]
-        return _evaluate(poly, xs, pool, False)[0].terms
-
-    if rational:
-        return run(_ExactConsts())
-    bits = precision_bits or DEFAULT_PRECISION_BITS
-    with interval_precision(bits):
-        return run(IvConsts())
-
-
-def _grlex_terms(poly: FactoredPolynomial, precision_bits: Optional[int]):
-    """The expansion's (exponents, coefficient) pairs in graded
-    lexicographic order, without the exact zeros."""
-    terms = expand_terms(poly, precision_bits)
-    for exponents in sorted(terms, key=lambda e: (sum(e), e)):
-        coeff = terms[exponents]
-        if not (isinstance(coeff, Fraction) and coeff == 0):
-            yield exponents, coeff
+    exact Fractions when every factor is rational, else mpmath intervals
+    whose endpoints are exactly those of the expansion's balls, enclosures
+    at precision_bits."""
+    exponents, mids, rads, den = _expand(poly, precision_bits)
+    keys = [tuple(int(e) for e in row) for row in exponents]
+    if rads is None:
+        return {e: Fraction(m, den) for e, m in zip(keys, mids)}
+    scale = 1 - den.bit_length()
+    return {e: iv.make_mpf((from_man_exp(m - r, scale),
+                            from_man_exp(m + r, scale)))
+            for e, m, r in zip(keys, mids, rads)}
 
 
 def expand(poly: FactoredPolynomial,
            precision_bits: Optional[int] = None, digits: int = 17) -> dict:
-    """JSON-ready sparse expansion in graded lexicographic order."""
+    """JSON-ready sparse expansion in graded lexicographic order.  An exact
+    coefficient is a rational "p/q", and exact zeros are left out; an
+    interval one is a decimal with only the digits its radius proves, and a
+    radius such that coefficient +- radius encloses it (`decimal_ball`)."""
+    exponents, mids, rads, den = _expand(poly, precision_bits)
+    order = np.lexsort([exponents[:, i] for i in
+                        reversed(range(poly.num_vars))] + [exponents.sum(1)])
     monomials = []
-    for exponents, coeff in _grlex_terms(poly, precision_bits):
-        entry = {"exponents": list(exponents)}
-        if isinstance(coeff, Fraction):
-            entry["coefficient"] = format_rational(coeff)
-        else:
-            lo, hi = interval_inf(coeff), interval_sup(coeff)
-            entry["coefficient"] = decimal_string((lo + hi) / 2, digits)
-            entry["radius"] = decimal_string((hi - lo) / 2, 3)
-        monomials.append(entry)
+    for row, mid, rad in zip(exponents[order].tolist(), mids[order],
+                             (mids if rads is None else rads)[order]):
+        if rads is not None:
+            coefficient, radius = decimal_ball(mid, rad, den, digits)
+            monomials.append({"exponents": row, "coefficient": coefficient,
+                              "radius": radius})
+        elif mid:
+            monomials.append({"exponents": row, "coefficient":
+                              format_rational(Fraction(mid, den))})
     return {"variables": poly.num_vars, "ordering": "grlex",
             "monomials": monomials}
 
 
-def evaluate_terms(terms: dict, point: Sequence) -> object:
-    """Evaluate a monomial dictionary; Fraction-exact when inputs are."""
-    total = None
-    for exponents, coeff in terms.items():
-        term = coeff
-        for i, e in enumerate(exponents):
-            for _ in range(e):
-                term = term * point[i]
-        total = term if total is None else total + term
-    return total
-
-
 def render_text(poly: FactoredPolynomial,
                 precision_bits: Optional[int] = None, digits: int = 12) -> str:
-    """Plain-text P(x1,...,xn) with decimal coefficients for CAS import."""
-    n = poly.num_vars
+    """Plain-text P(x1,...,xn) with decimal coefficients for CAS import,
+    read from the entries of `expand`."""
     pieces = []
-    for exponents, coeff in _grlex_terms(poly, precision_bits):
-        if isinstance(coeff, Fraction):
-            cstr = decimal_string(coeff, digits) \
-                if coeff.denominator != 1 else str(coeff.numerator)
-        else:
-            cstr = decimal_string(interval_mid(coeff), digits)
+    for entry in expand(poly, precision_bits, digits)["monomials"]:
+        cstr = entry["coefficient"]
+        if "radius" not in entry:
+            exact = Fraction(cstr)
+            cstr = (str(exact.numerator) if exact.denominator == 1 else
+                    decimal_ball(exact.numerator, 0, exact.denominator,
+                                 digits)[0])
         mono = "*".join("x%d^%d" % (i + 1, e) if e > 1 else "x%d" % (i + 1)
-                        for i, e in enumerate(exponents) if e)
+                        for i, e in enumerate(entry["exponents"]) if e)
         pieces.append(cstr if not mono else "%s*%s" % (cstr, mono))
-    header = "P(%s) = " % ",".join("x%d" % (i + 1) for i in range(n))
+    header = "P(%s) = " % ",".join("x%d" % (i + 1)
+                                   for i in range(poly.num_vars))
     return header + " + ".join(pieces)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,54 @@ class TestExport:
         write_json(path, data)
         assert main(["export", "--model", str(path),
                      "--out", str(tmp_path)]) == 4
+
+    def test_oversized_expansion_refused_early(self, tmp_path, capsys):
+        # the m = 13 model of the first deep_handles benchmark round: its
+        # last product passes a million monomials
+        out = synthesized(tmp_path, dimension=13, handles=[
+            {"edge": [1, 1], "sequence": [1] * 6},
+            {"edge": [2, 2], "sequence": [1] * 6}])
+        start = time.perf_counter()
+        assert main(["export", "--model", str(out / "model.json"),
+                     "--out", str(out)]) == 4
+        # the support pass refuses it in well under a second; the
+        # coefficient work it skips took minutes
+        assert time.perf_counter() - start < 30
+        assert "monomial count exceeded 1000000" in capsys.readouterr().err
+        assert not (out / "expanded.json").exists()
+
+    @pytest.mark.parametrize("bits", ["15", "0", "-5"])
+    def test_precision_below_sixteen_refused_before_loading(
+            self, tmp_path, capsys, m5_model, bits):
+        # the model would exit 4 on load: exit 2 shows the flag is first
+        data = copy.deepcopy(m5_model)
+        set_ellipsoids("height", times_1000)(data)
+        path = tmp_path / "model.json"
+        write_json(path, data)
+        assert main(["export", "--model", str(path), "--out",
+                     str(tmp_path), "--precision-bits", bits]) == 2
+        assert "--precision-bits must be an integer >= 16" in \
+            capsys.readouterr().err
+
+    def test_precision_sixteen_prints_proved_digits(self, tmp_path,
+                                                    m5_model):
+        path = tmp_path / "model.json"
+        write_json(path, m5_model)
+        balls = {}
+        for bits in ("16", "128"):
+            out = tmp_path / bits
+            assert main(["export", "--model", str(path), "--out", str(out),
+                         "--precision-bits", bits]) == 0
+            data = json.loads((out / "expanded.json").read_text())
+            balls[bits] = {tuple(m["exponents"]): (Fraction(m["coefficient"]),
+                                                   Fraction(m["radius"]))
+                           for m in data["monomials"]}
+        assert balls["16"].keys() == balls["128"].keys()
+        for key, (c, r) in balls["16"].items():
+            fine, fine_r = balls["128"][key]
+            assert abs(c - fine) <= r + fine_r
+        # 16 bits leave some coefficients with no proved digit
+        assert any(c == 0 for c, _ in balls["16"].values())
 
 
 class TestExtend:

@@ -12,12 +12,30 @@ from reebforge import (NoFactors, build_arrangement, degree,
                        eval_and_gradient, evaluate_floats, expand,
                        fiber_word, nonsingular_extension, region_polynomial,
                        render_text, synthesize, validated)
-from reebforge.numbers import BoxArray, float_bounds
-from reebforge.poly import BoxConsts, FactoredPolynomial, SurfaceModel, \
-    _disk_planar_box, _factor_value, certify_ellipsoid_inside, \
-    evaluate_boxes, evaluate_terms, expand_terms, staged_polynomial
+from reebforge import poly as poly_module
+from reebforge.errors import ExpansionTooLarge
+from reebforge.numbers import DEFAULT_PRECISION_BITS, BoxArray, \
+    decimal_ball, float_bounds, interval_inf, interval_precision, \
+    interval_sup
+from reebforge.poly import BoxConsts, FactoredPolynomial, IvConsts, \
+    SurfaceModel, _disk_planar_box, _evaluate, _ExactConsts, \
+    _factor_is_rational, _factor_value, _TermConsts, _Terms, \
+    certify_ellipsoid_inside, evaluate_boxes, expand_terms, staged_polynomial
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
+
+
+def evaluate_terms(terms: dict, point) -> object:
+    """Evaluate a monomial dictionary; Fraction-exact when inputs are."""
+    total = None
+    for exponents, coeff in terms.items():
+        term = coeff
+        for i, e in enumerate(exponents):
+            for _ in range(e):
+                term = term * point[i]
+        total = term if total is None else total + term
+    return total
+
 
 TORUS_TERMS = {
     (0, 0): Fraction(-9, 16),
@@ -172,6 +190,158 @@ class TestEvaluation:
             eval_and_gradient(model.polynomial, [Fraction(1)])
 
 
+def reference_terms(poly, precision_bits=DEFAULT_PRECISION_BITS):
+    """The expansion as `_evaluate` over `_Terms` computed it before the
+    integer kernel: one pair of terms at a time, exact Fractions or
+    precision_bits mpmath intervals.  Kept only as a reference."""
+    n = poly.num_vars
+    exact = all(_factor_is_rational(f) for s in poly.stages
+                for f in s.factors)
+    coeffs = _ExactConsts() if exact else IvConsts()
+    with interval_precision(precision_bits):
+        xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})
+              for i in range(n)]
+        return _evaluate(poly, xs, _TermConsts(n, coeffs), False)[0].terms
+
+
+def last_place(text):
+    """The unit of the last digit of a decimal literal."""
+    mantissa, _, exponent = text.partition("e")
+    return Fraction(10) ** (int(exponent or 0)
+                            - len(mantissa.partition(".")[2]))
+
+
+# the fourteen-factor model the benchmark exports
+EXPORT_SPEC = circle_spec((2, 2, 2, 3, 3, 3, 4))
+# a four-stage handle chain: tiny partial products meet large transverse
+# walls later, and a fixed den left balls 1e25 times wider than the
+# reference
+DEEP_CHAIN = circle_spec((2, 2, 2), dimension=9,
+                         handles=(((1, 1), (1, 1, 1, 1)),))
+CORPUS_NAMES = [n for n, _ in NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS]
+
+
+class TestExpansionKernel:
+    @pytest.mark.parametrize("name", CORPUS_NAMES + ["m9 chain"])
+    def test_matches_the_reference(self, corpus_models, name):
+        poly = (corpus_models[name] if name in corpus_models
+                else synthesize(validated(DEEP_CHAIN))).polynomial
+        got, want = expand_terms(poly), reference_terms(poly)
+        assert got.keys() == want.keys()
+        for exponents, coeff in got.items():
+            ref = want[exponents]
+            if isinstance(ref, Fraction):
+                assert isinstance(coeff, Fraction) and coeff == ref
+            else:
+                assert interval_inf(coeff) <= interval_sup(ref)
+                assert interval_inf(ref) <= interval_sup(coeff)
+                assert interval_sup(coeff) - interval_inf(coeff) <= \
+                    2 * (interval_sup(ref) - interval_inf(ref))
+
+    @pytest.mark.parametrize("bits,guard", [(16, 0), (16, 64), (128, 64)])
+    @pytest.mark.parametrize("name", ["k=0", "line (1,3,2,1)", "(2,2,2)",
+                                      "m5 stage1"])
+    def test_balls_hold_the_coefficients(self, corpus_models, monkeypatch,
+                                         name, bits, guard):
+        # every model through the interval kernel, with no guard bits as
+        # coarse as the factor enclosures; the truth is the exact
+        # coefficient of a rational model, else (to within 2**-1000) the
+        # midpoint of a 1024-bit reference enclosure
+        poly = corpus_models[name].polynomial
+        truth = {e: c if isinstance(c, Fraction)
+                 else (interval_inf(c) + interval_sup(c)) / 2
+                 for e, c in reference_terms(poly, 1024).items()}
+        reference = reference_terms(poly, bits)
+        monkeypatch.setattr(poly_module, "_factor_is_rational",
+                            lambda f: False)
+        monkeypatch.setattr(poly_module, "EXPANSION_GUARD_BITS", guard)
+        balls = expand_terms(poly, bits)
+        assert balls.keys() == truth.keys()
+        for exponents, coeff in truth.items():
+            ball, ref = balls[exponents], reference[exponents]
+            assert interval_inf(ball) <= coeff <= interval_sup(ball)
+            width = interval_sup(ball) - interval_inf(ball)
+            if isinstance(ref, Fraction):
+                assert width <= Fraction(64, 2 ** bits) * max(1, abs(coeff))
+            elif guard:  # no wider than the product it replaced
+                assert width <= 2 * (interval_sup(ref) - interval_inf(ref))
+
+    def test_factor_balls_hold_the_enclosures(self, corpus_models):
+        poly = corpus_models["m5 stage1"].polynomial
+        n = poly.num_vars
+        with interval_precision(16):
+            pool = _TermConsts(n, IvConsts())
+            xs = [_Terms({tuple(int(j == i) for j in range(n)):
+                          pool.coeffs.lift(1)}) for i in range(n)]
+            factors = [_factor_value(f, xs, pool).terms
+                       for s in poly.stages for f in s.factors]
+        steps = [step for step in poly_module._steps(poly, 16) if step[-1]]
+        assert len(steps) == len(factors)
+        for terms, (_, mids, rads, den, _) in zip(factors, steps):
+            for coeff, mid, rad in zip(terms.values(), mids, rads):
+                assert Fraction(mid - rad, den) <= interval_inf(coeff)
+                assert interval_sup(coeff) <= Fraction(mid + rad, den)
+
+    def test_export_model_keeps_seventeen_digits(self):
+        terms = expand_terms(synthesize(validated(EXPORT_SPEC)).polynomial)
+        assert len(terms) == 422
+        for coeff in terms.values():
+            lo, hi = interval_inf(coeff), interval_sup(coeff)
+            mid = abs(lo + hi) / 2
+            lead = math.floor(math.log10(mid))
+            while Fraction(10) ** lead > mid:
+                lead -= 1
+            while Fraction(10) ** (lead + 1) <= mid:
+                lead += 1
+            # the radius leaves the 17th significant digit proved
+            assert hi - lo <= Fraction(10) ** (lead - 16)
+
+    def test_guard_counts_the_support(self, corpus_models, monkeypatch):
+        poly = corpus_models["m7 mixed"].polynomial
+        count = len(expand_terms(poly))
+        monkeypatch.setattr(poly_module, "EXPANSION_GUARD", count)
+        assert len(expand_terms(poly)) == count
+        monkeypatch.setattr(poly_module, "EXPANSION_GUARD", count // 2)
+        with pytest.raises(ExpansionTooLarge, match="exceeded %d"
+                           % (count // 2)):
+            expand_terms(poly)
+
+    @pytest.mark.parametrize("bits", [15, 0, -5])
+    def test_precision_below_the_floor_refused(self, bits):
+        poly = synthesize(validated(circle_spec((2, 2, 2)))).polynomial
+        with pytest.raises(ValueError, match="precision_bits"):
+            expand_terms(poly, bits)
+
+
+class TestDecimalBall:
+    def test_exact(self):
+        assert decimal_ball(-9, 0, 16, 12) == ("-0.5625", "0")
+        assert decimal_ball(3, 0, 1, 17) == ("3", "0")
+
+    def test_ball_containing_zero_prints_zero(self):
+        # 1.455e-10 +- 7.31e-10: no digit is proved
+        assert decimal_ball(1455, 7310, 10 ** 13, 17) == ("0", "8.77e-10")
+
+    def test_radius_limits_the_digits(self):
+        assert decimal_ball(12345678901234567891, 3 * 10 ** 8, 10 ** 10,
+                            17) == ("1234567890.1", "0.0535")
+        assert decimal_ball(15, 14, 10, 17) == ("0", "2.9")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(0, 10 ** 30),
+           st.integers(0, 200), st.integers(1, 17))
+    def test_prints_a_proved_enclosure(self, mid, rad, shift, digits):
+        den = 1 << shift
+        text, radius = decimal_ball(mid, rad, den, digits)
+        c, r = Fraction(text), Fraction(radius)
+        assert c - r <= Fraction(mid - rad, den)
+        assert Fraction(mid + rad, den) <= c + r
+        if c:
+            assert r <= last_place(text)
+            significant = text.lstrip("-").partition("e")[0]
+            assert len(significant.replace(".", "").lstrip("0")) <= digits
+
+
 class TestExpand:
     def test_grlex_order_and_keys(self):
         model = synthesize(validated(torus_spec()))
@@ -209,9 +379,7 @@ class TestExpand:
     @pytest.mark.parametrize(
         "name", [n for n, _ in NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS])
     def test_expansion_encloses_the_polynomial(self, corpus_models, name):
-        from reebforge.numbers import (DEFAULT_PRECISION_BITS, interval_inf,
-                                       interval_precision, interval_sup,
-                                       to_interval)
+        from reebforge.numbers import to_interval
         poly = corpus_models[name].polynomial
         terms = expand_terms(poly)
         exact = all(isinstance(c, Fraction) for c in terms.values())
@@ -229,6 +397,17 @@ class TestExpand:
                     got = evaluate_terms(terms, [to_interval(p)
                                                  for p in point])
                 assert interval_inf(got) <= hi and lo <= interval_sup(got)
+        # every printed digit is proved, and the printed ball encloses
+        for entry in expand(poly)["monomials"]:
+            if "radius" not in entry:
+                continue
+            c = Fraction(entry["coefficient"])
+            r = Fraction(entry["radius"])
+            ball = terms[tuple(entry["exponents"])]
+            assert c - r <= interval_inf(ball)
+            assert interval_sup(ball) <= c + r
+            if c:
+                assert r <= last_place(entry["coefficient"])
 
     def test_render_text_torus(self):
         model = synthesize(validated(torus_spec()))
