@@ -329,9 +329,9 @@ class TestDecimalBall:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-10 ** 40, 10 ** 40), st.integers(0, 10 ** 30),
-           st.integers(0, 200), st.integers(1, 17))
-    def test_prints_a_proved_enclosure(self, mid, rad, shift, digits):
-        den = 1 << shift
+           st.integers(0, 200).map(lambda s: 1 << s)
+           | st.integers(1, 10 ** 40), st.integers(1, 17))
+    def test_prints_a_proved_enclosure(self, mid, rad, den, digits):
         text, radius = decimal_ball(mid, rad, den, digits)
         c, r = Fraction(text), Fraction(radius)
         assert c - r <= Fraction(mid - rad, den)
