@@ -425,8 +425,7 @@ class DisjointnessReport:
     epsilon: Fraction
 
 
-def certify_disjointness(arr: CircleArrangement,
-                         bits: Optional[int] = None) -> DisjointnessReport:
+def certify_disjointness(arr: CircleArrangement) -> DisjointnessReport:
     """Certified clearances between all placed disks and the region boundary.
 
     Circle mode runs a vectorized outward-rounded float64 pass over all
@@ -435,13 +434,12 @@ def certify_disjointness(arr: CircleArrangement,
     Raises MarginViolation when a certified lower bound fails to exceed the
     arrangement's epsilon.
     """
-    bits = bits or arr.precision_bits
     entries: list[tuple[str, Fraction]] = []
     if arr.mode == "circle":
         if arr.circles:
-            entries.extend(_circle_mode_margins(arr, bits))
+            entries.extend(_circle_mode_margins(arr))
     else:
-        with interval_precision(bits):
+        with interval_precision(arr.precision_bits):
             _line_mode_margins(arr, entries)
     if not entries:
         return DisjointnessReport((), Fraction(1), arr.epsilon)
@@ -452,7 +450,7 @@ def certify_disjointness(arr: CircleArrangement,
     return DisjointnessReport(tuple(entries), min_margin, arr.epsilon)
 
 
-def _circle_mode_margins(arr: CircleArrangement, bits: int):
+def _circle_mode_margins(arr: CircleArrangement):
     n = len(arr.circles)
     d_lo = np.array([float_bounds(c.d)[0] for c in arr.circles])
     d_hi = np.array([float_bounds(c.d)[1] for c in arr.circles])
@@ -501,7 +499,7 @@ def _circle_mode_margins(arr: CircleArrangement, bits: int):
     slow = [label for label, ok in zip(labels, fast) if not ok]
 
     if slow:
-        with interval_precision(bits):
+        with interval_precision(arr.precision_bits):
             for label in slow:
                 entries.append((label, _slow_circle_margin(arr, label)))
     return entries

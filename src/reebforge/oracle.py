@@ -67,6 +67,10 @@ _LADDER_STEPS = (8, 14, 20, 26)
 # widening of a removed disk's window, in sectors and in radii (docstring)
 _WEDGE_PAD = 1 / 16
 _RADIAL_PAD = 1 / 64
+# membership: suspects whose certified factor margins come this close to 0
+# are band points, and suspects are re-decided at this many bits
+MEMBERSHIP_BAND = Fraction(1, 10 ** 9)
+MEMBERSHIP_BITS = 192
 
 
 class _DisjointSets:
@@ -639,9 +643,8 @@ def check_membership_sample(count: int, seed: int) -> None:
                          % (count, seed))
 
 
-def membership_check(model, count: int = 20000, seed: int = 0,
-                     band: Fraction = Fraction(1, 10 ** 9),
-                     bits: int = 192) -> MembershipReport:
+def membership_check(model, count: int = 20000,
+                     seed: int = 0) -> MembershipReport:
     """Check sign(P) == region membership at quasirandom planar points.
 
     The points have Halton indices seed*count + 1 .. (seed + 1)*count in
@@ -655,9 +658,9 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     The float pass evaluates the full polynomial (deficit squares included,
     they vanish on the slice) and, separately, every factor's margin through
     `_factor_value` on floats.  Disagreements and near-boundary points are
-    re-decided with the same factor values on `bits`-bit mpmath intervals
-    and a certified enclosure of the polynomial; only a certified
-    disagreement outside the band counts as a mismatch."""
+    re-decided with the same factor values on MEMBERSHIP_BITS-bit mpmath
+    intervals and a certified enclosure of the polynomial; only a certified
+    disagreement outside MEMBERSHIP_BAND counts as a mismatch."""
     check_membership_sample(count, seed)
     poly = model.polynomial
     factors = [f for stage in poly.stages for f in stage.factors]
@@ -688,15 +691,17 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     for i in suspect.tolist():
         px = Fraction(x_tops[i], x_dens[i])
         py = Fraction(y_tops[i], y_dens[i])
-        with interval_precision(bits):
+        with interval_precision(MEMBERSHIP_BITS):
             point = [to_interval(p) for p in [px, py] + pad]
             bounds = [(interval_inf(v), interval_sup(v)) for v in
                       (_factor_value(f, point, IvConsts()) for f in factors)]
-        if any(lo <= band and hi >= -band for lo, hi in bounds):
+        if any(lo <= MEMBERSHIP_BAND and hi >= -MEMBERSHIP_BAND
+               for lo, hi in bounds):
             band_points += 1
             continue
         certified_member = all(lo > 0 for lo, _ in bounds)
-        value_iv, _ = eval_and_gradient(poly, [px, py] + pad, bits)
+        value_iv, _ = eval_and_gradient(poly, [px, py] + pad,
+                                        MEMBERSHIP_BITS)
         if certainly_positive(value_iv):
             positive = True
         elif certainly_negative(value_iv):
@@ -715,4 +720,5 @@ def membership_check(model, count: int = 20000, seed: int = 0,
     return MembershipReport(count=count, inside=inside,
                             band_points=band_points,
                             suspects=len(suspect),
-                            mismatches=tuple(mismatches), band=band)
+                            mismatches=tuple(mismatches),
+                            band=MEMBERSHIP_BAND)

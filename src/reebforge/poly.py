@@ -15,10 +15,12 @@ removal attaches a handle.
 Factors keep exact rational data (distances, turns, heights); the handful
 of irrational constants (cos/sin of rational turns, sin(pi/k)) are produced
 by pluggable constant pools, so one evaluation code, `_factor_value`, runs on
-plain float64 arrays, outward-rounded interval arrays, mpmath intervals, and
-sparse monomial dictionaries, which give each factor's terms for the
-expansion.  The membership oracle evaluates its factor margins through the
-same code.
+plain float64 arrays, outward-rounded interval arrays, mpmath intervals,
+dual numbers of mpmath intervals (`_Dual`, whose partials are the gradient of
+`eval_and_gradient`), and sparse monomial dictionaries, which give each
+factor's terms for the expansion; the dual and term pools are `_Lifted`
+scalar pools.  The membership oracle evaluates its factor margins, and
+`DiskValues` the factors over an ellipsoid's disk, through the same code.
 
 The expansion (`_expand`) multiplies those terms in an integer kernel.
 Monomials are int64 keys, the exponents packed in mixed radix, so a
@@ -57,6 +59,7 @@ as `synthesize` did, rebuilds the rest, and rejects a file that disagrees.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -292,41 +295,28 @@ class IvConsts:
         return iv.sin(iv.pi / k)
 
 
-def _circle_center(f: Factor, consts):
-    if f.center is not None:
-        return consts.lift(f.center[0]), consts.lift(f.center[1])
-    cos_t, sin_t = consts.turn_cos_sin(f.turn)
-    d = consts.lift(f.d)
-    return d * cos_t, d * sin_t
-
-
-def _circle_r2(f: Factor, consts):
-    if f.radius is not None:
-        return consts.lift((f.radius * f.scale) ** 2)
-    s = consts.sin_half(f.sectors)
-    return consts.lift(f.d ** 2 * f.scale ** 2) * (s * s)
-
-
 def _factor_value(f: Factor, xs, consts):
     if f.kind == "annulus_outer":
         return consts.lift((1 + f.a) ** 2) - xs[0] * xs[0] - xs[1] * xs[1]
     if f.kind == "annulus_inner":
         return xs[0] * xs[0] + xs[1] * xs[1] - consts.lift((1 - f.a) ** 2)
-    if f.kind == "circle":
-        bx, by = _circle_center(f, consts)
-        dx = xs[0] - bx
-        dy = xs[1] - by
-        return dx * dx + dy * dy - _circle_r2(f, consts)
     if f.kind == "ellipse_outer":
         ax, ay = f.axes
         return (consts.lift(ax ** 2 * ay ** 2)
                 - consts.lift(ay ** 2) * xs[0] * xs[0]
                 - consts.lift(ax ** 2) * xs[1] * xs[1])
-    if f.kind == "ellipsoid":
-        bx, by = _circle_center(f, consts)
+    if f.kind in ("circle", "ellipsoid"):  # a circle has no transverse term
+        if f.center is not None:
+            bx, by = consts.lift(f.center[0]), consts.lift(f.center[1])
+            r2 = consts.lift((f.radius * f.scale) ** 2)
+        else:
+            cos_t, sin_t = consts.turn_cos_sin(f.turn)
+            d = consts.lift(f.d)
+            bx, by = d * cos_t, d * sin_t
+            s = consts.sin_half(f.sectors)
+            r2 = consts.lift(f.d ** 2 * f.scale ** 2) * (s * s)
         dx = xs[0] - bx
         dy = xs[1] - by
-        r2 = _circle_r2(f, consts)
         acc = None
         for i in f.transverse:
             sq = xs[i] * xs[i]
@@ -340,89 +330,97 @@ def _factor_value(f: Factor, xs, consts):
     raise ValueError("unknown factor kind %r" % f.kind)
 
 
-def _factor_gradient(f: Factor, xs, consts) -> dict:
-    if f.kind == "annulus_outer":
-        return {0: -(xs[0] + xs[0]), 1: -(xs[1] + xs[1])}
-    if f.kind == "annulus_inner":
-        return {0: xs[0] + xs[0], 1: xs[1] + xs[1]}
-    if f.kind == "circle":
-        bx, by = _circle_center(f, consts)
-        dx = xs[0] - bx
-        dy = xs[1] - by
-        return {0: dx + dx, 1: dy + dy}
-    if f.kind == "ellipse_outer":
-        ax, ay = f.axes
-        gx = consts.lift(2 * ay ** 2) * xs[0]
-        gy = consts.lift(2 * ax ** 2) * xs[1]
-        return {0: -gx, 1: -gy}
-    if f.kind == "ellipsoid":
-        bx, by = _circle_center(f, consts)
-        r2 = _circle_r2(f, consts)
-        wall = r2 * consts.lift(1 / f.height ** 2)
-        grad = {0: (xs[0] - bx) + (xs[0] - bx),
-                1: (xs[1] - by) + (xs[1] - by)}
-        for i in f.transverse:
-            grad[i] = wall * (xs[i] + xs[i])
-        return grad
-    raise ValueError("unknown factor kind %r" % f.kind)
+class _Dual:
+    """A value and its partial derivatives {variable: partial}, with the
+    ring operations `_factor_value` and `_evaluate` use: forward-mode
+    differentiation (Griewank and Walther, SIAM 2008)."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad=None):
+        self.value = value
+        self.grad = grad or {}
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        grad = dict(self.grad)
+        for i, g in other.grad.items():
+            grad[i] = grad[i] + g if i in grad else g
+        return _Dual(self.value + other.value, grad)
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return self + -other
+
+    def __neg__(self) -> "_Dual":
+        return _Dual(-self.value, {i: -g for i, g in self.grad.items()})
+
+    def __mul__(self, other: "_Dual") -> "_Dual":
+        grad = {i: g * other.value for i, g in self.grad.items()}
+        for i, g in other.grad.items():
+            term = self.value * g
+            grad[i] = grad[i] + term if i in grad else term
+        return _Dual(self.value * other.value, grad)
 
 
-def _evaluate(poly: FactoredPolynomial, xs, consts, want_gradient: bool):
+class _Lifted:
+    """Constant pool over the scalar pool `coeffs`: every constant is
+    passed through `wrap`, as a constant term of a sparse polynomial or as
+    a dual number with no gradient."""
+
+    def __init__(self, coeffs, wrap):
+        self.coeffs = coeffs
+        self.wrap = wrap
+
+    def lift(self, fr: Fraction):
+        return self.wrap(self.coeffs.lift(fr))
+
+    def turn_cos_sin(self, turn: Fraction):
+        cos_t, sin_t = self.coeffs.turn_cos_sin(turn)
+        return self.wrap(cos_t), self.wrap(sin_t)
+
+    def sin_half(self, k: int):
+        return self.wrap(self.coeffs.sin_half(k))
+
+
+def _evaluate(poly: FactoredPolynomial, xs, consts):
     value = None
-    grad: dict = {}
     for stage in poly.stages:
         for f in stage.factors:
             fval = _factor_value(f, xs, consts)
-            if want_gradient:
-                fgrad = _factor_gradient(f, xs, consts)
-                if value is None:
-                    grad = dict(fgrad)
-                else:
-                    merged = {}
-                    for i in set(grad) | set(fgrad):
-                        parts = []
-                        if i in grad:
-                            parts.append(grad[i] * fval)
-                        if i in fgrad:
-                            parts.append(value * fgrad[i])
-                        merged[i] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-                    grad = merged
             value = fval if value is None else value * fval
         for i in stage.deficit_vars:
             sq = xs[i] * xs[i]
             value = (-sq) if value is None else value - sq
-            if want_gradient:
-                step = xs[i] + xs[i]
-                grad[i] = (grad[i] - step) if i in grad else -step
     if value is None:
         raise NoFactors("cannot evaluate an empty polynomial")
-    return value, grad
+    return value
 
 
 def evaluate_floats(poly: FactoredPolynomial, points: np.ndarray) -> np.ndarray:
     """Plain float64 evaluation; points has shape (num_vars, n)."""
     xs = [np.asarray(points[i], dtype=np.float64) for i in range(poly.num_vars)]
-    value, _ = _evaluate(poly, xs, FloatConsts(), False)
-    return value
+    return _evaluate(poly, xs, FloatConsts())
 
 
 def evaluate_boxes(poly: FactoredPolynomial, boxes: Sequence[BoxArray]):
     """Certified float64-interval evaluation over per-variable box arrays."""
-    return _evaluate(poly, list(boxes), BoxConsts(), False)[0]
+    return _evaluate(poly, list(boxes), BoxConsts())
 
 
 def eval_and_gradient(poly: FactoredPolynomial, point: Sequence,
                       precision_bits: int = DEFAULT_PRECISION_BITS):
-    """Certified value and gradient enclosures at one point."""
+    """Certified value and gradient enclosures at one point: `_evaluate`
+    over dual numbers of mpmath intervals."""
     with interval_precision(precision_bits):
         xs = [to_interval(p if isinstance(p, (Fraction, int)) else Fraction(p))
               for p in point]
         if len(xs) != poly.num_vars:
             raise ValueError("point dimension %d, expected %d"
                              % (len(xs), poly.num_vars))
-        value, grad = _evaluate(poly, xs, IvConsts(), True)
-        zero = to_interval(Fraction(0))
-        return value, [grad.get(i, zero) for i in range(poly.num_vars)]
+        one, zero = to_interval(Fraction(1)), to_interval(Fraction(0))
+        dual = _evaluate(poly, [_Dual(x, {i: one}) for i, x in enumerate(xs)],
+                         _Lifted(IvConsts(), _Dual))
+        return dual.value, [dual.grad.get(i, zero)
+                            for i in range(poly.num_vars)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,44 +464,68 @@ def _disk_covers(disk: Factor):
     disk's bounding box, 16, 32 and 64 cells a side, keeping the cells
     that may meet the closed disk."""
     x_lo, x_hi, y_lo, y_hi = _disk_planar_box(disk)
-    consts = BoxConsts()
-    cx, cy = _circle_center(disk, consts)
-    r2 = _circle_r2(disk, consts)
+    disk = replace(disk, kind="circle", transverse=())
     for n in (16, 32, 64):
         ex = np.linspace(float_bounds(x_lo)[0], float_bounds(x_hi)[1], n + 1)
         ey = np.linspace(float_bounds(y_lo)[0], float_bounds(y_hi)[1], n + 1)
         bx = BoxArray(np.repeat(ex[:-1], n), np.repeat(ex[1:], n))
         by = BoxArray(np.tile(ey[:-1], n), np.tile(ey[1:], n))
         # drop cells certifiably outside the closed disk
-        keep = ~(((bx - cx).square() + (by - cy).square() - r2).lo > 0)
+        keep = ~(_factor_value(disk, [bx, by], BoxConsts()).lo > 0)
         yield [BoxArray(bx.lo[keep], bx.hi[keep]),
                BoxArray(by.lo[keep], by.hi[keep])]
 
 
-def ellipsoid_height(poly: FactoredPolynomial, disk: Factor) -> Fraction:
+class DiskValues:
+    """Every factor of `poly` at t = 0, by stage, on each disk cover of
+    `_disk_covers(disk)`, with the stage products and their product F; a
+    cover is evaluated when first reached and replayed afterwards, so the
+    height bound and each containment attempt read one evaluation."""
+
+    def __init__(self, poly: FactoredPolynomial, disk: Factor):
+        # an ellipsoid factor at t = 0 loses its transverse term
+        self._stages = [[replace(f, transverse=()) for f in s.factors]
+                        for s in poly.stages]
+        self._covers = _disk_covers(disk)
+        self._seen: list = []
+
+    def __iter__(self):
+        for i in itertools.count():
+            if i == len(self._seen):
+                xs = next(self._covers, None)
+                if xs is None:
+                    return
+                values = [[_factor_value(f, xs, BoxConsts()) for f in fs]
+                          for fs in self._stages]
+                products = [reduce(operator.mul, vs) for vs in values]
+                self._seen.append((values, products,
+                                   reduce(operator.mul, products)))
+            yield self._seen[i]
+
+
+def ellipsoid_height(covers: DiskValues, where: str) -> Fraction:
     """Transverse semi-axis h = sqrt(L)/2, where L is a certified lower
-    bound of the polynomial over the closed disk (branch-and-bound interval
-    refinement).  Raises HeightFailure when no positive bound is certified
-    within the refinement budget."""
+    bound of F = poly(x, 0) over the closed disk, from the first cover that
+    gives a positive one (branch-and-bound interval refinement).  Raises
+    HeightFailure, naming `where`, when none does."""
     bound = -np.inf
-    zeros = [BoxArray.exact(0.0)] * (poly.num_vars - 2)
-    for xs in _disk_covers(disk):
-        value = evaluate_boxes(poly, xs + zeros)
-        bound = float(np.min(value.lo, initial=np.inf))
+    for _, _, whole in covers:
+        bound = float(np.min(whole.lo, initial=np.inf))
         if bound > 0:
             break
     if not (bound > 0):
-        raise HeightFailure("no positive lower bound over the disk")
+        raise HeightFailure("%s: no positive lower bound over the disk"
+                            % where)
     half_sqrt = Fraction(float(np.sqrt(np.nextafter(bound, 0.0)))) / 2
     h = dyadic_significant(half_sqrt, 24)
     if h <= 0:
-        raise HeightFailure("certified height underflowed")
+        raise HeightFailure("%s: certified height underflowed" % where)
     return h
 
 
-def certify_ellipsoid_inside(poly: FactoredPolynomial, site: Factor) -> bool:
-    """Certified check that the closed ellipsoid `site`, of height h, lies
-    in {poly > 0}, read from the disk covers of `ellipsoid_height`.
+def certify_ellipsoid_inside(covers: DiskValues, height: Fraction) -> bool:
+    """Certified check that the closed ellipsoid of height `height` over
+    the disk of `covers` lies in {poly > 0}, read from those covers.
 
     Write poly = P_{s-1}, with P_j = P_{j-1} * prod E_j(x,t) - |t_j|^2 for
     the stage-j ellipsoid factors E_j and deficit variables t_j.  Let
@@ -520,18 +542,11 @@ def certify_ellipsoid_inside(poly: FactoredPolynomial, site: Factor) -> bool:
     Hence it accepts when each later ellipsoid factor at t = 0 and every
     F - h^2 C_b, with h^2 rounded outward, are positive on every kept cell
     of one cover (monotonicity: Moore, Kearfott and Cloud, SIAM 2009)."""
-    consts = BoxConsts()
-    h2 = consts.lift(site.height ** 2)
-    # every factor at t = 0: an ellipsoid factor loses its transverse term
-    stages = [[replace(f, transverse=()) for f in s.factors]
-              for s in poly.stages]
-    for xs in _disk_covers(site):
-        values = [[_factor_value(f, xs, consts) for f in fs] for fs in stages]
-        products = [reduce(operator.mul, vs) for vs in values]
-        whole = reduce(operator.mul, products)  # F
+    h2 = BoxArray.exact(height ** 2)
+    for values, products, whole in covers:
         # stage 0 holds the region factors, the later ones ellipsoids
         margins = [e for vs in values[1:] for e in vs]
-        after = consts.lift(Fraction(1))  # C_b, from the last block back
+        after = BoxArray.exact(1)  # C_b, from the last block back
         for product in reversed(products):  # every stage ends a block
             margins.append(whole - h2 * after)
             after = after * product
@@ -610,7 +625,8 @@ def _certified_height(poly: FactoredPolynomial, site: Factor,
     """A height at which `site` certifiably lies inside {poly > 0}: the
     disk bound of `ellipsoid_height`, capped and then halved until
     `certify_ellipsoid_inside` accepts it."""
-    h = ellipsoid_height(poly, replace(site, kind="circle", transverse=()))
+    covers = DiskValues(poly, site)
+    h = ellipsoid_height(covers, where)
     # the transverse wall of an existing ellipsoid factor grows like
     # r^2/h^2, so a new site must sit well under the thinnest height
     # already in the product or that wall swamps its enclosures
@@ -620,7 +636,7 @@ def _certified_height(poly: FactoredPolynomial, site: Factor,
         h = cap / 16
     for _ in range(12):
         _check_height(h, where)
-        if certify_ellipsoid_inside(poly, replace(site, height=h)):
+        if certify_ellipsoid_inside(covers, h):
             return h
         h = h / 2
     raise HeightFailure("%s resisted certification" % where)
@@ -686,7 +702,7 @@ class SurfaceModel:
             h = next(heights, None)
             if h is None:
                 raise ModelMismatch("%s has no stored height" % where)
-            if not certify_ellipsoid_inside(poly, replace(site, height=h)):
+            if not certify_ellipsoid_inside(DiskValues(poly, site), h):
                 raise ModelMismatch("%s: stored height not certified" % where)
             return h
 
@@ -762,28 +778,6 @@ class _ExactConsts:
         return Fraction(fr)
 
 
-class _TermConsts:
-    """Constant pool for expansion: every constant is a constant term whose
-    coefficient comes from the scalar pool `coeffs`."""
-
-    def __init__(self, num_vars: int, coeffs):
-        self.one = (0,) * num_vars
-        self.coeffs = coeffs
-
-    def _const(self, c) -> _Terms:
-        return _Terms({self.one: c})
-
-    def lift(self, fr: Fraction):
-        return self._const(self.coeffs.lift(fr))
-
-    def turn_cos_sin(self, turn: Fraction):
-        cos_t, sin_t = self.coeffs.turn_cos_sin(turn)
-        return self._const(cos_t), self._const(sin_t)
-
-    def sin_half(self, k: int):
-        return self._const(self.coeffs.sin_half(k))
-
-
 def _steps(poly: FactoredPolynomial, bits: Optional[int]):
     """The product as steps (exponent rows, mids, rads, den, multiply):
     each factor's terms from `_factor_value` over one-variable term
@@ -795,7 +789,8 @@ def _steps(poly: FactoredPolynomial, bits: Optional[int]):
     smallest."""
     n = poly.num_vars
     coeffs = _ExactConsts() if bits is None else IvConsts()
-    pool = _TermConsts(n, coeffs)
+    one = (0,) * n
+    pool = _Lifted(coeffs, lambda c: _Terms({one: c}))
     steps = []
     with interval_precision(bits or DEFAULT_PRECISION_BITS):
         xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})

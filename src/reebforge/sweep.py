@@ -147,10 +147,6 @@ class EulerReport:
     chi_from_region: int
     genus: int
 
-    @property
-    def chi(self) -> int:
-        return self.chi_from_saddles
-
     def to_json(self) -> dict:
         return {"chi_from_saddles": self.chi_from_saddles,
                 "chi_from_region": self.chi_from_region,

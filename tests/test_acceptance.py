@@ -113,8 +113,8 @@ def test_criterion_04_oracle_equivalence(corpus_models):
 
 def test_criterion_05_region_identity(corpus_models):
     for name, _ in ALL_CORPUS:
-        report = membership_check(corpus_models[name], count=100000,
-                                  band=Fraction(1, 10 ** 9))
+        report = membership_check(corpus_models[name], count=100000)
+        assert report.band == Fraction(1, 10 ** 9)
         assert report.ok, name
         assert report.mismatches == (), name
         assert report.count == 100000

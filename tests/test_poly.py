@@ -13,14 +13,15 @@ from reebforge import (NoFactors, build_arrangement, degree,
                        fiber_word, nonsingular_extension, region_polynomial,
                        render_text, synthesize, validated)
 from reebforge import poly as poly_module
-from reebforge.errors import ExpansionTooLarge
+from reebforge.errors import ExpansionTooLarge, HeightFailure
 from reebforge.numbers import DEFAULT_PRECISION_BITS, BoxArray, \
     decimal_ball, float_bounds, interval_inf, interval_precision, \
     interval_sup
-from reebforge.poly import BoxConsts, FactoredPolynomial, IvConsts, \
-    SurfaceModel, _disk_planar_box, _evaluate, _ExactConsts, \
-    _factor_is_rational, _factor_value, _TermConsts, _Terms, \
-    certify_ellipsoid_inside, evaluate_boxes, expand_terms, staged_polynomial
+from reebforge.poly import BoxConsts, DiskValues, FactoredPolynomial, \
+    IvConsts, SurfaceModel, _certified_height, _disk_planar_box, \
+    _evaluate, _ExactConsts, _factor_is_rational, _factor_value, _Lifted, \
+    _Terms, certify_ellipsoid_inside, evaluate_boxes, expand_terms, \
+    staged_polynomial
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
 
@@ -190,6 +191,11 @@ class TestEvaluation:
             eval_and_gradient(model.polynomial, [Fraction(1)])
 
 
+def term_pool(n, coeffs):
+    """Constants as constant terms of n-variable sparse polynomials."""
+    return _Lifted(coeffs, lambda c: _Terms({(0,) * n: c}))
+
+
 def reference_terms(poly, precision_bits=DEFAULT_PRECISION_BITS):
     """The expansion as `_evaluate` over `_Terms` computed it before the
     integer kernel: one pair of terms at a time, exact Fractions or
@@ -201,7 +207,7 @@ def reference_terms(poly, precision_bits=DEFAULT_PRECISION_BITS):
     with interval_precision(precision_bits):
         xs = [_Terms({tuple(int(j == i) for j in range(n)): coeffs.lift(1)})
               for i in range(n)]
-        return _evaluate(poly, xs, _TermConsts(n, coeffs), False)[0].terms
+        return _evaluate(poly, xs, term_pool(n, coeffs)).terms
 
 
 def last_place(text):
@@ -270,7 +276,7 @@ class TestExpansionKernel:
         poly = corpus_models["m5 stage1"].polynomial
         n = poly.num_vars
         with interval_precision(16):
-            pool = _TermConsts(n, IvConsts())
+            pool = term_pool(n, IvConsts())
             xs = [_Terms({tuple(int(j == i) for j in range(n)):
                           pool.coeffs.lift(1)}) for i in range(n)]
             factors = [_factor_value(f, xs, pool).terms
@@ -464,11 +470,82 @@ class TestContainment:
         assert pairs
         for poly, site in pairs:
             assert box_cover_witness(poly, site)
-            assert certify_ellipsoid_inside(poly, site)
+            assert certify_ellipsoid_inside(DiskValues(poly, site),
+                                            site.height)
         poly, site = pairs[0]
         tall = replace(site, height=site.height * 1000)
-        assert not certify_ellipsoid_inside(poly, tall)
+        assert not certify_ellipsoid_inside(DiskValues(poly, site),
+                                            tall.height)
         assert not box_cover_witness(poly, tall)
+
+    @pytest.mark.parametrize("name", [n for n, _ in HANDLE_CORPUS])
+    def test_covers_enclose_the_polynomial_at_t_zero(self, corpus_models,
+                                                      name):
+        # F, the product of the stage products, and the whole polynomial
+        # at t = 0 enclose the same values on every cover
+        for poly, site in earlier_stages(corpus_models[name]):
+            covers = DiskValues(poly, site)
+            zeros = [BoxArray.exact(0.0)] * (poly.num_vars - 2)
+            for xs, (_, _, whole) in zip(poly_module._disk_covers(site),
+                                         covers):
+                direct = evaluate_boxes(poly, xs + zeros)
+                assert np.all(whole.lo <= direct.hi)
+                assert np.all(direct.lo <= whole.hi)
+
+    def test_covers_are_evaluated_once(self, corpus_models, monkeypatch):
+        poly, site = earlier_stages(corpus_models["m5 stage1"])[0]
+        calls = []
+        real = poly_module._factor_value
+        monkeypatch.setattr(poly_module, "_factor_value",
+                            lambda *a: calls.append(1) or real(*a))
+        covers = DiskValues(poly, site)
+        first = list(covers)
+        count = len(calls)
+        # per cover, the disk's own cell mask and every factor
+        assert count == len(first) * (poly.factor_count() + 1)
+        again = list(covers)  # replayed, not evaluated again
+        assert len(again) == len(first) and len(calls) == count
+        assert all(a is b for a, b in zip(again, first))
+
+    def test_negative_disk_names_its_site(self, corpus_models):
+        # a site over a removed disk, where F is negative
+        poly = corpus_models["m5 stage1"].polynomial
+        disk = next(f for f in poly.stages[0].factors if f.kind == "circle")
+        site = replace(disk, kind="ellipsoid",
+                       transverse=tuple(range(2, poly.num_vars)))
+        where = "ellipsoid at sector 9 stage 9"
+        with pytest.raises(HeightFailure,
+                           match="^%s: no positive lower bound" % where):
+            _certified_height(poly, site, where)
+
+
+class TestDualGradient:
+    @pytest.mark.parametrize("name", ["k=0", "line (1,2,1)",
+                                      "line (1,3,2,1)"])
+    def test_encloses_the_exact_partials(self, corpus_models, name):
+        # the exact expansion of a rational model, differentiated term by
+        # term, against the dual enclosures at rational points
+        poly = corpus_models[name].polynomial
+        terms = expand_terms(poly)
+        assert all(isinstance(c, Fraction) for c in terms.values())
+        n = poly.num_vars
+        partials = []
+        for i in range(n):
+            partials.append({e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                             for e, c in terms.items() if e[i]})
+        for planar in ((Fraction(9, 8), Fraction(-1, 3)),
+                       (Fraction(-3, 5), Fraction(7, 10)),
+                       (Fraction(0), Fraction(0)),
+                       (Fraction(1, 7), Fraction(-6, 5))):
+            point = list(planar) + [Fraction(1, 8 + 3 * i)
+                                    for i in range(n - 2)]
+            value, grad = eval_and_gradient(poly, point)
+            exact = evaluate_terms(terms, point)
+            assert interval_inf(value) <= exact <= interval_sup(value)
+            for i in range(n):
+                want = evaluate_terms(partials[i], point) or Fraction(0)
+                assert interval_inf(grad[i]) <= want <= \
+                    interval_sup(grad[i]), (point, i)
 
 
 # the supported envelope at its edge: a doubled stage at m = 13, and eight
