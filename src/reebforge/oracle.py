@@ -32,6 +32,18 @@ outside the window tests inside.  In line mode the window is the disk's
 bounding box widened by m*r, outside which |P - C|^2 >= (1 + m)^2 r^2.
 The readout works on doubles of the slice and tangency positions.
 
+The membership screen windows its disk factors too.  On the zero slice a
+disk factor (circle, or ellipsoid at zero transverse coordinates) is
+v = (x - bx)^2 + (y - by)^2 - r^2.  Let M be the largest of 1, the sample
+box's half-extents and the sizes of the disk's `poly._disk_planar_box`
+ends, so it bounds sample coordinates, |bx|, |by| and r.  The window is
+the box's x-range in doubles, widened by 2^-10 M; with u = 2^-53, outside
+it |x - bx| >= r + 2^-10 M - 2uM, so v > 2^-21 M^2 > 2 * MEMBERSHIP_GUARD.
+The float value's errors, from the centre (3u relative) and r^2 (5u)
+through dx, dy, their squares and two sums, add up to under 70uM^2 <
+2^-46 M^2: it stays above MEMBERSHIP_GUARD, positive and not small, and
+skipping the point changes no flag or negative count.
+
 The oracle only measures the region, so its graph is the sweep graph with
 every degree-two vertex smoothed away; handle attachments do not change
 plane membership.  Structural failures (a disconnected sample complex, a
@@ -52,23 +64,23 @@ import numpy as np
 from .errors import ResolutionTooCoarse
 from .graphs import canonical_cyclic_form
 from .layout import CircleArrangement, tangency_events
-from .numbers import (TurnAngle, certainly_negative, certainly_positive,
-                      format_rational, interval_inf, interval_precision,
-                      interval_sup, to_interval)
-from .poly import (FloatConsts, IvConsts, _factor_value, eval_and_gradient,
-                   evaluate_floats)
+from .numbers import (TurnAngle, format_rational, interval_inf,
+                      interval_precision, interval_sup, to_interval)
+from .poly import FloatConsts, IvConsts, _disk_planar_box, _factor_value
 from .sweep import ReebEdge, ReebGraphResult, ReebVertex
 
 TAU = 2.0 * math.pi
 
-# extra slice offsets on both sides of every tangency angle / wall
-_LADDER_TURNS = tuple(Fraction(1, 1 << p) for p in (10, 14, 18, 22, 26, 30))
+# extra slice offsets on both sides of every tangency angle (2^-b turns)
+# and every wall (2^-p strip spacings)
+_LADDER_BITS = (10, 14, 18, 22, 26, 30)
 _LADDER_STEPS = (8, 14, 20, 26)
 # widening of a removed disk's window, in sectors and in radii (docstring)
 _WEDGE_PAD = 1 / 16
 _RADIAL_PAD = 1 / 64
-# membership: suspects whose certified factor margins come this close to 0
-# are band points, and suspects are re-decided at this many bits
+# membership: float factor values this close to 0 make suspects, which are
+# re-decided at this many bits, band points if a margin is in the band
+MEMBERSHIP_GUARD = 1e-7
 MEMBERSHIP_BAND = Fraction(1, 10 ** 9)
 MEMBERSHIP_BITS = 192
 
@@ -177,13 +189,18 @@ class _Complex:
 # ---------------------------------------------------------------------------
 
 def _circle_slices(tangency_turns, angular_res: int) -> list[Fraction]:
-    positions = {Fraction(2 * i + 1, 2 * angular_res)
-                 for i in range(angular_res)}
+    """The uniform turns (2i + 1)/(2 angular_res) and the ladder turns on
+    both sides of every tangency, sorted as integers over one common
+    denominator."""
+    den = math.lcm(2 * angular_res, *(t.denominator for t in tangency_turns))
+    den <<= _LADDER_BITS[-1]
+    keys = set(range(den // (2 * angular_res), den, den // angular_res))
     for turn in tangency_turns:
-        for step in _LADDER_TURNS:
-            positions.add((turn + step) % 1)
-            positions.add((turn - step) % 1)
-    return sorted(positions)
+        at = turn.numerator * (den // turn.denominator)
+        for bits in _LADDER_BITS:
+            step = den >> bits
+            keys.update(((at + step) % den, (at - step) % den))
+    return [Fraction(key, den) for key in sorted(keys)]
 
 
 def _wedge_rows(turns: np.ndarray, lo: float, hi: float):
@@ -574,17 +591,18 @@ def _radical_inverses(indices: np.ndarray,
 
 
 def _halton_axis(indices: np.ndarray, base: int, half: Fraction):
-    """Coordinates 2*half*r - half of the radical inverses r = num/den, as
-    floats and as exact integer ratios tops[i] / dens[i].  With half = p/q
-    the ratio is p*(2*num - den) / (q*den), kept as Python ints so any p and
-    q fit; int true division rounds it correctly, exactly as
-    `Fraction.__float__` would."""
+    """Coordinates 2*half*r - half of the radical inverses r = num/den as
+    floats, with the int64 num and den.  With half = p/q a coordinate is
+    p*(2*num - den) / (q*den), rounded once as `Fraction.__float__` does:
+    by IEEE division of exact doubles when both operands are below 2**53,
+    else by Python's correctly rounded int true division."""
     num, den = _radical_inverses(indices, base)
     p, q = half.numerator, half.denominator
-    tops = [p * t for t in (2 * num - den).tolist()]
-    dens = [q * d for d in den.tolist()]
-    floats = np.array([t / d for t, d in zip(tops, dens)])
-    return floats, tops, dens
+    top = 2 * num - den
+    if max(p, q) * int(den.max()) < 2 ** 53:
+        return (p * top).astype(float) / (q * den).astype(float), num, den
+    floats = [p * t / (q * d) for t, d in zip(top.tolist(), den.tolist())]
+    return np.array(floats), num, den
 
 
 def _sample_box(arr: CircleArrangement) -> tuple[Fraction, Fraction]:
@@ -607,9 +625,10 @@ class MembershipReport:
     planar region minus the removed ellipsoid disks.  The sample is a
     base-2/base-3 Halton sequence built from integer digit arrays, each
     coordinate an exact ratio rounded once to float; exact `Fraction`
-    points are built only for suspects.  Float screening flags suspects,
-    which are then settled with certified interval margins: every factor
-    evaluated by `poly._factor_value` on mpmath intervals.  A point whose
+    points are built only for suspects.  A float screen of the factor
+    values, each disk factor only in its window, flags suspects, which are
+    settled with `poly._factor_value` on mpmath intervals; sign(P) is the
+    parity of the negative factors, so it never underflows.  A point whose
     certified margin to any factor boundary falls inside the band is
     exempt."""
 
@@ -643,54 +662,72 @@ def check_membership_sample(count: int, seed: int) -> None:
                          % (count, seed))
 
 
+def _disk_window(f, extent: float):
+    """The x-range of a disk factor's membership window (module docstring)
+    with extent = max(1, the sample box's half-extents); None for a
+    boundary factor."""
+    if f.kind not in ("circle", "ellipsoid"):
+        return None
+    box = [float(e) for e in _disk_planar_box(f)]
+    w = 2.0 ** -10 * max(extent, *map(abs, box))
+    return box[0] - w, box[1] + w
+
+
+def _membership_screen(poly, extent: float, x: np.ndarray, y: np.ndarray):
+    """Rows member (every factor positive), small (a factor below
+    MEMBERSHIP_GUARD in size) and suspect (small, or member unlike
+    sign(P) > 0) of the points (x, y, 0, ...).  P is the product of its
+    factors on the zero slice: sign(P) > 0 when none is 0 (so small) and an
+    even number are negative.  Each disk factor is evaluated only in its
+    window (module docstring), on the sample sorted by x once."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    pad = [0.0] * (poly.num_vars - 2)
+    member, small = np.ones(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+    negative = np.zeros(len(x), dtype=np.int64)
+    for f in (f for stage in poly.stages for f in stage.factors):
+        window = _disk_window(f, extent)
+        a, b = (0, len(x)) if window is None else np.searchsorted(xs, window)
+        value = _factor_value(f, [xs[a:b], ys[a:b]] + pad, FloatConsts())
+        member[a:b] &= value > 0.0
+        small[a:b] |= np.abs(value) < MEMBERSHIP_GUARD
+        negative[a:b] += value < 0.0
+    screen = np.empty((3, len(x)), dtype=bool)
+    screen[:, order] = member, small, small | ((negative % 2 == 0) != member)
+    return screen
+
+
 def membership_check(model, count: int = 20000,
                      seed: int = 0) -> MembershipReport:
     """Check sign(P) == region membership at quasirandom planar points.
 
     The points have Halton indices seed*count + 1 .. (seed + 1)*count in
-    bases 2 and 3, scaled to the sampling box.  Radical inverses come from
-    int64 digit arrays; each coordinate is an integer ratio converted by
-    Python's correctly rounded int division, so it is the float nearest the
-    exact point, and `Fraction` points are made only for suspects.  Raises
+    bases 2 and 3, scaled to the sampling box (`_halton_axis`).  Raises
     ValueError before sampling unless count >= 1, seed >= 0 and
-    (seed + 1)*count <= 2**53.
-
-    The float pass evaluates the full polynomial (deficit squares included,
-    they vanish on the slice) and, separately, every factor's margin through
-    `_factor_value` on floats.  Disagreements and near-boundary points are
-    re-decided with the same factor values on MEMBERSHIP_BITS-bit mpmath
-    intervals and a certified enclosure of the polynomial; only a certified
-    disagreement outside MEMBERSHIP_BAND counts as a mismatch."""
+    (seed + 1)*count <= 2**53.  `_membership_screen` flags suspects from
+    float factor values; each is re-decided once from its factors'
+    MEMBERSHIP_BITS-bit mpmath intervals: inside the region when all are
+    certainly positive, sign(P) the parity of the certainly negative ones.
+    Only a certified disagreement outside MEMBERSHIP_BAND is a mismatch."""
     check_membership_sample(count, seed)
     poly = model.polynomial
     factors = [f for stage in poly.stages for f in stage.factors]
     half_x, half_y = _sample_box(model.arrangement)
-
     indices = np.arange(seed * count + 1, (seed + 1) * count + 1,
                         dtype=np.int64)
-    x, x_tops, x_dens = _halton_axis(indices, 2, half_x)
-    y, y_tops, y_dens = _halton_axis(indices, 3, half_y)
-
-    points = np.zeros((poly.num_vars, count))
-    points[0], points[1] = x, y
-    values = evaluate_floats(poly, points)
-
-    planar = [x, y] + [0.0] * (poly.num_vars - 2)
-    margins = np.stack([_factor_value(f, planar, FloatConsts())
-                        for f in factors])
-    member = np.all(margins > 0.0, axis=0)
-    min_abs = np.min(np.abs(margins), axis=0)
-
-    guard = 1e-7
-    disagrees = (values > 0.0) != member
-    suspect = np.flatnonzero(disagrees | (min_abs < guard))
+    x, x_num, x_den = _halton_axis(indices, 2, half_x)
+    y, y_num, y_den = _halton_axis(indices, 3, half_y)
+    member, _, suspect = _membership_screen(
+        poly, float(max(1, half_x, half_y)), x, y)
+    suspects = np.flatnonzero(suspect).tolist()
 
     band_points = 0
     mismatches = []
     pad = [Fraction(0)] * (poly.num_vars - 2)
-    for i in suspect.tolist():
-        px = Fraction(x_tops[i], x_dens[i])
-        py = Fraction(y_tops[i], y_dens[i])
+    axes = ((half_x, x_num, x_den), (half_y, y_num, y_den))
+    for i in suspects:
+        px, py = (half * Fraction(2 * int(num[i]) - int(den[i]), int(den[i]))
+                  for half, num, den in axes)
         with interval_precision(MEMBERSHIP_BITS):
             point = [to_interval(p) for p in [px, py] + pad]
             bounds = [(interval_inf(v), interval_sup(v)) for v in
@@ -699,16 +736,11 @@ def membership_check(model, count: int = 20000,
                for lo, hi in bounds):
             band_points += 1
             continue
+        # every factor is now certainly positive or certainly negative, and
+        # P is their product on the zero slice, so an enclosure of P could
+        # not contain 0: no suspect is left undecided past the band test
         certified_member = all(lo > 0 for lo, _ in bounds)
-        value_iv, _ = eval_and_gradient(poly, [px, py] + pad,
-                                        MEMBERSHIP_BITS)
-        if certainly_positive(value_iv):
-            positive = True
-        elif certainly_negative(value_iv):
-            positive = False
-        else:
-            band_points += 1
-            continue
+        positive = sum(hi < 0 for _, hi in bounds) % 2 == 0
         if positive != certified_member:
             mismatches.append({
                 "point": [format_rational(px), format_rational(py)],
@@ -716,9 +748,7 @@ def membership_check(model, count: int = 20000,
                 "inside_region": certified_member,
             })
 
-    inside = int(np.count_nonzero(member))
-    return MembershipReport(count=count, inside=inside,
-                            band_points=band_points,
-                            suspects=len(suspect),
+    return MembershipReport(count=count, inside=int(np.count_nonzero(member)),
+                            band_points=band_points, suspects=len(suspects),
                             mismatches=tuple(mismatches),
                             band=MEMBERSHIP_BAND)

@@ -282,17 +282,27 @@ class BoxConsts:
 
 
 class IvConsts:
-    """mpmath interval constants at the caller's active precision."""
+    """mpmath interval constants at the caller's active precision; each
+    irrational one is enclosed once per (turn or k, precision)."""
 
     def lift(self, fr: Fraction):
         return to_interval(fr)
 
     def turn_cos_sin(self, turn: Fraction):
-        sin_t, cos_t = turn_sin_cos(turn)
-        return cos_t, sin_t
+        return _iv_turn_cos_sin(turn, iv.prec)
 
     def sin_half(self, k: int):
-        return iv.sin(iv.pi / k)
+        return _iv_sin_half(k, iv.prec)
+
+
+@lru_cache(maxsize=None)
+def _iv_turn_cos_sin(turn: Fraction, prec: int):
+    return turn_sin_cos(turn)[::-1]
+
+
+@lru_cache(maxsize=None)
+def _iv_sin_half(k: int, prec: int):
+    return iv.sin(iv.pi / k)
 
 
 def _factor_value(f: Factor, xs, consts):

@@ -1,23 +1,27 @@
 """Sampled region oracle, graph smoothing, membership spot checks."""
 
 import dataclasses
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reebforge import (brute_oracle_reeb, build_arrangement, membership_check,
-                       results_match, smooth_degree_two, sweep_reeb,
-                       synthesize, validated)
+from reebforge import (brute_oracle_reeb, build_arrangement, evaluate_floats,
+                       membership_check, results_match, smooth_degree_two,
+                       sweep_reeb, synthesize, validated)
 from reebforge import oracle
 from reebforge.errors import ResolutionTooCoarse
+from reebforge.graphs import graph_spec_from_json
 from reebforge.layout import tangency_events
 from reebforge.numbers import format_rational
-from reebforge.oracle import (_circle_slices, _Complex, _halton_axis,
-                              _line_slices, _radical_inverses, _read_graph,
-                              _sample_box)
+from reebforge.oracle import (MEMBERSHIP_GUARD, _circle_slices, _Complex,
+                              _halton_axis, _line_slices, _membership_screen,
+                              _radical_inverses, _read_graph, _sample_box)
+from reebforge.poly import FloatConsts, _factor_value
 from reebforge.sweep import ReebEdge, ReebGraphResult, ReebVertex
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec
@@ -237,8 +241,12 @@ class TestRadicalInverse:
         assert np.all(0 < num) and np.all(num < den)
 
 
+# the last is the (60,60,60) sample box's, a 228-bit denominator
 HALF_EXTENTS = [Fraction(27, 16), Fraction(1207959543, 536870912),
-                Fraction(2 ** 71 + 1, 2 ** 70 + 3)]
+                Fraction(2 ** 71 + 1, 2 ** 70 + 3),
+                Fraction("485279040008711516304006271566353352125468599605730"
+                         "304659864984485879/2156795733372051183573361206961"
+                         "57045389097155380324579848828881993728")]
 
 
 class TestHaltonSample:
@@ -246,16 +254,144 @@ class TestHaltonSample:
                                             (100000, 0), (100000, 5)])
     @pytest.mark.parametrize("base", [2, 3])
     def test_matches_the_exact_path(self, base, count, seed):
+        # the last two take the int path, the first two the double one
         assert HALF_EXTENTS[2].denominator.bit_length() >= 70
         inverses = exact_radical_inverses(base, count, seed)
         indices = np.arange(seed * count + 1, (seed + 1) * count + 1)
         for half in HALF_EXTENTS:
             exact = exact_coordinates(half, inverses)
-            floats, tops, dens = _halton_axis(indices, base, half)
+            floats, num, den = _halton_axis(indices, base, half)
             assert floats.tobytes() == np.array(
                 [float(v) for v in exact]).tobytes(), half
             for i in range(0, count, 97):
-                assert Fraction(tops[i], dens[i]) == exact[i]
+                assert half * Fraction(2 * int(num[i]) - int(den[i]),
+                                       int(den[i])) == exact[i]
+
+
+def sample(model, count):
+    """The membership sample's float coordinates and the screen's extent."""
+    half_x, half_y = _sample_box(model.arrangement)
+    indices = np.arange(1, count + 1)
+    return (_halton_axis(indices, 2, half_x)[0],
+            _halton_axis(indices, 3, half_y)[0],
+            float(max(1, half_x, half_y)))
+
+
+def dense_values(model, x, y):
+    """Every factor on every point, as the screen did before it windowed
+    the disks: one row per factor."""
+    poly = model.polynomial
+    planar = [x, y] + [0.0] * (poly.num_vars - 2)
+    return np.stack([_factor_value(f, planar, FloatConsts())
+                     for stage in poly.stages for f in stage.factors])
+
+
+def dense_screen(model, x, y):
+    """Rows member, small and suspect from the dense factor values, with
+    sign(P) read from the float product `evaluate_floats`."""
+    poly = model.polynomial
+    values = dense_values(model, x, y)
+    member = np.all(values > 0.0, axis=0)
+    small = np.min(np.abs(values), axis=0) < MEMBERSHIP_GUARD
+    points = np.zeros((poly.num_vars, len(x)))
+    points[0], points[1] = x, y
+    positive = evaluate_floats(poly, points) > 0.0
+    return np.stack([member, small, small | (positive != member)])
+
+
+def perfbench_models():
+    """Models of the benchmark's `wide_cycle_round(1, 0)` and
+    `deep_handles_round(1, 0)` specs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = (workloads.wide_cycle_round(1, 0)[:1]
+             + workloads.deep_handles_round(1, 0)[:2])
+    return {task["slot"]: synthesize(validated(graph_spec_from_json(
+        task["spec"]))) for task in tasks}
+
+
+@pytest.fixture(scope="module")
+def benchmark_models():
+    return perfbench_models()
+
+
+SCREEN_CASES = [name for name, _ in NAMED_CORPUS + HANDLE_CORPUS
+                + LINE_CORPUS] + ["wide", "deep-m9", "deep-m13"]
+
+
+class TestWindowedScreen:
+    @pytest.mark.parametrize("name", SCREEN_CASES)
+    def test_equals_the_dense_screen(self, name, corpus_models,
+                                     benchmark_models):
+        model = {**corpus_models, **benchmark_models}[name]
+        x, y, extent = sample(model, 4000)
+        windowed = _membership_screen(model.polynomial, extent, x, y)
+        dense = dense_screen(model, x, y)
+        assert windowed.shape == dense.shape == (3, 4000)
+        assert np.array_equal(windowed, dense)
+        assert np.array_equal(np.flatnonzero(windowed[2]),
+                              np.flatnonzero(dense[2]))
+
+    def test_a_window_one_point_too_narrow_is_caught(self, monkeypatch,
+                                                     corpus_models):
+        model = corpus_models["(2,2,2)"]
+        x, y, extent = sample(model, 4000)
+        # the first removed disk, and its points in x order
+        first = 2
+        inside = dense_values(model, x, y)[first] < 0.0
+        held = np.sort(x[inside])
+        assert len(held) > 10
+        disk_window = oracle._disk_window
+        calls = []
+
+        def planted(f, extent):
+            calls.append(f)
+            if len(calls) == first + 1:
+                return held[0], held[-1]
+            return disk_window(f, extent)
+
+        monkeypatch.setattr(oracle, "_disk_window", planted)
+        windowed = _membership_screen(model.polynomial, extent, x, y)
+        dense = dense_screen(model, x, y)
+        assert calls[first].kind == "circle"
+        assert np.flatnonzero((windowed != dense).any(axis=0)).tolist() == (
+            np.flatnonzero(x == held[-1]).tolist())
+
+    def test_deep_chain_has_no_suspects(self):
+        model = synthesize(validated(circle_spec((60, 60, 60))))
+        assert _sample_box(model.arrangement)[0] == HALF_EXTENTS[3]
+        report = membership_check(model, count=20000)
+        x, y, _ = sample(model, 20000)
+        assert report.ok
+        assert report.suspects == 0
+        assert report.inside == np.count_nonzero(
+            np.all(dense_values(model, x, y) > 0.0, axis=0))
+
+
+def sorted_fraction_slices(tangency_turns, angular_res):
+    """The slice turns as a sorted set of Fractions, one comparison at a
+    time: the reference for the integer keys."""
+    positions = {Fraction(2 * i + 1, 2 * angular_res)
+                 for i in range(angular_res)}
+    for turn in tangency_turns:
+        for p in (10, 14, 18, 22, 26, 30):
+            positions.add((turn + Fraction(1, 1 << p)) % 1)
+            positions.add((turn - Fraction(1, 1 << p)) % 1)
+    return sorted(positions)
+
+
+class TestCircleSlices:
+    @pytest.mark.parametrize("angular_res", [256, 1024])
+    @pytest.mark.parametrize("name,spec", NAMED_CORPUS + HANDLE_CORPUS + [
+        ("wide64", circle_spec(WIDE_CYCLE))],
+        ids=[name for name, _ in NAMED_CORPUS + HANDLE_CORPUS] + ["wide64"])
+    def test_equals_the_sorted_fractions(self, name, spec, angular_res):
+        arr = build_arrangement(validated(spec))
+        turns = {e.turn.turns for e in tangency_events(arr)}
+        assert _circle_slices(turns, angular_res) == sorted_fraction_slices(
+            turns, angular_res)
 
 
 class TestFailureNames:

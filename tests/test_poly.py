@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from reebforge import (NoFactors, build_arrangement, degree,
                        eval_and_gradient, evaluate_floats, expand,
@@ -16,7 +17,7 @@ from reebforge import poly as poly_module
 from reebforge.errors import ExpansionTooLarge, HeightFailure
 from reebforge.numbers import DEFAULT_PRECISION_BITS, BoxArray, \
     decimal_ball, float_bounds, interval_inf, interval_precision, \
-    interval_sup
+    interval_sup, turn_sin_cos
 from reebforge.poly import BoxConsts, DiskValues, FactoredPolynomial, \
     IvConsts, SurfaceModel, _certified_height, _disk_planar_box, \
     _evaluate, _ExactConsts, _factor_is_rational, _factor_value, _Lifted, \
@@ -546,6 +547,25 @@ class TestDualGradient:
                 want = evaluate_terms(partials[i], point) or Fraction(0)
                 assert interval_inf(grad[i]) <= want <= \
                     interval_sup(grad[i]), (point, i)
+
+
+class TestIntervalConstants:
+    def test_cached_per_precision(self):
+        # the cached enclosures are the fresh ones at every precision, so
+        # a narrow one is never reused at a coarser precision or the reverse
+        def ends(*ivs):
+            return [(interval_inf(v), interval_sup(v)) for v in ivs]
+
+        widths = []
+        for bits in (64, 192, 64, 192):
+            with interval_precision(bits):
+                cos_t, sin_t = IvConsts().turn_cos_sin(Fraction(1, 7))
+                fresh_sin, fresh_cos = turn_sin_cos(Fraction(1, 7))
+                assert ends(cos_t, sin_t) == ends(fresh_cos, fresh_sin)
+                half = IvConsts().sin_half(7)
+                assert ends(half) == ends(iv.sin(iv.pi / 7))
+                widths.append(interval_sup(cos_t) - interval_inf(cos_t))
+        assert widths[0] == widths[2] > widths[1] == widths[3] > 0
 
 
 # the supported envelope at its edge: a doubled stage at m = 13, and eight
