@@ -12,12 +12,14 @@ takes --points of at least 1 and --seed of at least 0 with
 (seed + 1) * points at most 2**53, and --oracle-res components of at least
 1; `export` takes --precision-bits of at least 16, the floor of a spec's
 precision_bits and of REEBFORGE_PRECISION; anything else exits 2 before
-the model is loaded.  `export` prints an interval coefficient with only
-the digits its radius proves, and exits 4 as soon as a product in the
-expansion passes a million monomials.  Every subcommand that loads a model
-(verify, plot --model, export, extend) rebuilds it from its spec,
-arrangement and ellipsoid heights, re-certifying each height, and exits 4
-when a height or the stored file is refused.
+the model is loaded.  Malformed arrangement data also exits 2: a circle
+whose sector lies outside 1..k, precision_bits below 16, or a circle
+arrangement with circles and k < 3.  `export` prints an interval
+coefficient with only the digits its radius proves, and exits 4 as soon as
+a product in the expansion passes a million monomials.  Every subcommand
+that loads a model (verify, plot --model, export, extend) rebuilds it from
+its spec, arrangement and ellipsoid heights, re-certifying each height, and
+exits 4 when a height or the stored file is refused.
 """
 
 from __future__ import annotations

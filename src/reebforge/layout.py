@@ -35,8 +35,10 @@ from .errors import MarginViolation, PackingFailure
 from .graphs import ValidatedSpec
 from .numbers import (
     BOUND_BITS,
+    DEFAULT_PRECISION_BITS,
     BoxArray,
     TurnAngle,
+    check_precision_bits,
     cos_half_sector_bounds,
     dyadic_significant,
     float_bounds,
@@ -164,33 +166,39 @@ class CircleArrangement:
 
     @staticmethod
     def from_json(data: dict) -> "CircleArrangement":
+        k = int(data["k"])
+        if data["mode"] == "circle" and data["circles"] and k < 3:
+            raise ValueError("a circle arrangement with circles needs at "
+                             "least 3 sectors")
         circles = []
-        for item in data["circles"]:
+        for i, item in enumerate(data["circles"]):
             role = CircleRole.from_json(item["role"])
+            sector = int(item["sector"])
+            if not 1 <= sector <= k:
+                raise ValueError("circle %d has sector %d outside 1..%d"
+                                 % (i, sector, k))
             if "d" in item:
-                circles.append(PlacedCircle(sector=int(item["sector"]),
-                                            role=role,
+                circles.append(PlacedCircle(sector=sector, role=role,
                                             d=parse_rational(item["d"])))
             else:
                 cx, cy = item["center"]
                 circles.append(PlacedCircle(
-                    sector=int(item["sector"]), role=role,
+                    sector=sector, role=role,
                     center=(parse_rational(cx), parse_rational(cy)),
                     radius=parse_rational(item["radius"])))
-        if data["mode"] == "circle" and circles and int(data["k"]) < 3:
-            raise ValueError("a circle arrangement with circles needs at "
-                             "least 3 sectors")
         axes = None
         if "ellipse" in data:
             axes = (parse_rational(data["ellipse"][0]),
                     parse_rational(data["ellipse"][1]))
         return CircleArrangement(
             mode=data["mode"],
-            k=int(data["k"]),
+            k=k,
             halfwidth=parse_rational(data["a"]),
             circles=tuple(circles),
             epsilon=parse_rational(data["epsilon"]),
-            precision_bits=int(data.get("precision_bits", 128)),
+            precision_bits=check_precision_bits(
+                data.get("precision_bits", DEFAULT_PRECISION_BITS),
+                "arrangement precision_bits"),
             ellipse_axes=axes,
             abscissae=tuple(parse_rational(x) for x in data.get("abscissae", [])),
         )

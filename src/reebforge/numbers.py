@@ -5,9 +5,11 @@ Three layers, cheapest first:
 * plain ``Fraction`` arithmetic for every constructed parameter (distances,
   radii ratios, annulus bounds, angles as fractions of a full turn);
 * scalar interval arithmetic at a configurable bit precision (mpmath's
-  ``iv`` context) for one-off certified predicates;
+  ``iv`` context) for one-off certified predicates, and for gradients as
+  dual numbers over it;
 * vectorised float64 intervals with outward rounding (``BoxArray``) for bulk
-  certification work such as gradient enclosures at thousands of points.
+  certification work: the disjointness margins of every circle pair and the
+  factor values over each ellipsoid's disk cover.
 
 Nothing in here knows about circles or polynomials.
 """

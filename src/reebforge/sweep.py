@@ -11,21 +11,40 @@ merge event that produces the graph vertex.
 
 ``verify_morse`` is the one certified pass over an arrangement: it lists the
 tangency events, reads each sector's bands (removed chords and the handle
-circles of each channel) and certifies the channel counts on the sector
-bisectors and the single intervals at the vertex angles (in line mode: the
-chord counts on the strip midlines and the tangencies at the walls).  Its
-``SweepCertificate`` keeps all of this; the Reeb graph, the Euler report and
-the fibre table are read from it without another crossing decision.
-``sweep_reeb``, ``euler_check`` and ``fiber_counts_check`` run the pass and
-derive one of them.  A vertex angle without a tangency is recorded by the
-pass and raised by ``verify_morse`` alone.
+circles of each channel) and with them the channel counts on the sector
+bisectors (in line mode: the chord counts on the strip midlines and the
+tangencies at the walls).  Its ``SweepCertificate`` keeps all of this; the
+Reeb graph, the Euler report and the fibre table are read from it without
+another crossing decision.  ``sweep_reeb``, ``euler_check`` and
+``fiber_counts_check`` run the pass and derive one of them.  A vertex angle
+without a tangency is recorded by the pass and raised by ``verify_morse``
+alone.
 
-All crossing decisions are certified.  A ray at turn offset dt from a
-circle's bisector crosses the circle exactly when |sin(2 pi dt)| < sin(pi/k)
-and cos(2 pi dt) > 0; the test is scale-free.  Every swept ray lies at a
-vertex angle or a sector bisector, so dt = h/(2k) for an integer h, and a
-pass makes one interval certificate per distinct h.  Offsets of exactly
-half a sector are structural tangencies and are never decided numerically.
+Half-sector rule.  Let k >= 3 and let a circle sit on its sector's bisector
+at distance d > 0 with radius d*sin(pi/k).  A ray from the origin h
+half-sectors from that bisector, h an integer in (-k, k], crosses the open
+disk iff h = 0, touches the circle iff |h| = 1, and misses the closed disk
+otherwise.
+
+Proof.  Put alpha = pi*h/k, the angle between the ray and the bisector.
+When cos(alpha) > 0 the foot of the perpendicular from the centre lies on
+the ray, at distance d*|sin(alpha)| from the centre; otherwise the origin is
+the ray's closest point, at distance d.  In the second case d > d*sin(pi/k),
+so the ray misses.  In the first, |alpha| = pi*|h|/k lies in [0, pi/2),
+where sin increases strictly, so d*|sin(alpha)| is below, equal to or above
+the radius as |h| is 0, 1 or at least 2; and |h| <= 1 does fall in this case,
+since pi/k < pi/2.  The ray crosses, touches or misses as that distance is
+below, equal to or above the radius.
+
+Every swept ray lies at a vertex angle j/k or a bisector (2j+1)/(2k) of a
+turn, and a circle of sector s in 1..k has its bisector at (2s+1)/(2k), so
+h = 2j - 2s - 1 or 2j - 2s modulo 2k.  A vertex ray (h odd) crosses no open
+disk and touches exactly the circles of its two adjacent sectors, whose
+tangencies ``tangency_events`` lists: the level set there is one interval.
+A bisector ray (h even) crosses exactly the circles of its own sector, so
+sector j has one channel more than removed disks, whose chords the exact
+radial check of ``_sector_bands`` keeps disjoint.  No crossing is decided
+numerically.
 """
 
 from __future__ import annotations
@@ -34,8 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import iv
-
 from .errors import (
     CountMismatch,
     DegenerateEvent,
@@ -43,16 +60,13 @@ from .errors import (
     MissingSingularAngle,
 )
 from .graphs import ValidatedSpec
-from .layout import CircleArrangement, TangencyEvent, tangency_events
+from .layout import (CircleArrangement, PlacedCircle, TangencyEvent,
+                     tangency_events)
 from .numbers import (
     TurnAngle,
     format_rational,
-    interval_inf,
-    interval_precision,
-    interval_sup,
     parse_rational,
     sin_half_sector_bounds,
-    turn_sin_cos,
 )
 from .poly import fiber_word
 
@@ -176,46 +190,6 @@ class FiberTable:
 
 
 # ---------------------------------------------------------------------------
-# certified crossing predicate
-# ---------------------------------------------------------------------------
-
-def _crossing_state(dt: Fraction, k: int, bits: int) -> str:
-    """'hit', 'miss', or 'tangent' for a ray at turn offset dt, in
-    (-1/2, 1/2], from the bisector of a circle tangent to both rays of a
-    sector of k.  Scale-free: the circle's radius is d*sin(pi/k) at center
-    distance d, so the ray-line distance d*|sin(2 pi dt)| compares to the
-    radius independently of d."""
-    if abs(dt) == Fraction(1, 2 * k):
-        return "tangent"
-    with interval_precision(bits):
-        sin_dt, cos_dt = turn_sin_cos(dt)
-        s = iv.sin(iv.pi / k)
-        mag = abs(sin_dt)
-        if interval_sup(mag) < interval_inf(s) and interval_inf(cos_dt) > 0:
-            return "hit"
-        if interval_inf(mag) > interval_sup(s) or interval_sup(cos_dt) < 0:
-            return "miss"
-    raise DegenerateEvent(
-        "crossing of ray at offset %s of a turn undecided for k=%d" % (dt, k))
-
-
-def _ray_crossing(arr: CircleArrangement, ray: int, circle_index: int,
-                  decisions: dict[int, str]) -> str:
-    """Crossing state of the ray at turn ray/(2k) and one circle.  The ray
-    sits h half-sectors from the circle's bisector, (2*sector+1)/(2k), and
-    `decisions` holds the pass's certificate for each h it has met."""
-    two_k = 2 * arr.k
-    h = (ray - 2 * arr.circles[circle_index].sector - 1) % two_k
-    if h > arr.k:
-        h -= two_k
-    state = decisions.get(h)
-    if state is None:
-        state = decisions[h] = _crossing_state(Fraction(h, two_k), arr.k,
-                                               arr.precision_bits)
-    return state
-
-
-# ---------------------------------------------------------------------------
 # radial band structure
 # ---------------------------------------------------------------------------
 
@@ -227,13 +201,14 @@ class SectorBands:
     channels: int
 
 
-def _sector_bands(arr: CircleArrangement, sector: int) -> SectorBands:
-    """Channel bands of one sector from radial order alone; consecutive
-    chords are certified disjoint by exact comparison against the sine
-    bounds, so band membership is unambiguous."""
+def _sector_bands(arr: CircleArrangement, sector: int,
+                  members: list[tuple[int, PlacedCircle]]) -> SectorBands:
+    """Channel bands of one sector, from its (index, circle) members in
+    radial order alone; consecutive chords are certified disjoint by exact
+    comparison against the sine bounds, so band membership is
+    unambiguous."""
     s_hi = sin_half_sector_bounds(arr.k)[1]
-    members = [(i, c) for i, c in enumerate(arr.circles) if c.sector == sector]
-    members.sort(key=lambda ic: ic[1].d)
+    members = sorted(members, key=lambda ic: ic[1].d)
     for (_, inner), (_, outer) in zip(members, members[1:]):
         if not inner.d * (1 + s_hi) < outer.d * (1 - s_hi):
             raise DegenerateEvent("radial bands overlap in sector %d" % sector)
@@ -247,43 +222,6 @@ def _sector_bands(arr: CircleArrangement, sector: int) -> SectorBands:
             buckets[band].append(i)
     return SectorBands(sector, tuple(removed),
                        tuple(tuple(b) for b in buckets), len(removed) + 1)
-
-
-def _certified_channel_count(arr: CircleArrangement, bands: SectorBands,
-                             decisions: dict[int, str]) -> int:
-    """Count region intervals on the bisector ray of a sector: one more than
-    the removed chords it crosses.  Every crossing decision is certified and
-    cross-checked against the sector attribution of the circles."""
-    sector = bands.sector
-    hits = 0
-    for i, c in enumerate(arr.circles):
-        state = _ray_crossing(arr, 2 * sector + 1, i, decisions)
-        if state == "tangent":
-            raise DegenerateEvent(
-                "structural tangency on a bisector ray in sector %d" % sector)
-        if (state == "hit") != (c.sector == sector):
-            raise DegenerateEvent(
-                "crossing certificate disagrees with sector attribution "
-                "for circle %d at the sector-%d bisector" % (i, sector))
-        if state == "hit" and c.role.kind == "removed":
-            hits += 1
-    if hits != len(bands.removed):
-        raise DegenerateEvent("chord count %d does not match the %d removed "
-                              "disks of sector %d"
-                              % (hits, len(bands.removed), sector))
-    return hits + 1
-
-
-def _certify_single_interval(arr: CircleArrangement, j: int,
-                             decisions: dict[int, str]) -> None:
-    """At vertex angle j the adjacent circles only touch the ray, so no open
-    disk removes anything: the level set must be one interval."""
-    for i, c in enumerate(arr.circles):
-        state = _ray_crossing(arr, 2 * j, i, decisions)
-        if state == "hit" and c.role.kind == "removed":
-            raise DegenerateEvent(
-                "removed disk %d still crosses the ray at %s of a turn"
-                % (i, arr.vertex_turn(j)))
 
 
 def _line_counts(arr: CircleArrangement, strip: int) -> int:
@@ -333,7 +271,7 @@ class SweepCertificate:
     saddle_count: int
     handle_event_count: int
     sector_channel_counts: tuple[int, ...]
-    vertices_single_interval: bool
+    vertices_single_interval: bool          # proved, or checked at walls
     folds_nondegenerate: bool
     arrangement: CircleArrangement
     bands: tuple[SectorBands, ...]          # per sector; empty in line mode
@@ -442,7 +380,8 @@ class SweepCertificate:
 def _sweep_pass(arr: CircleArrangement) -> SweepCertificate:
     """The certified sweep behind ``verify_morse``, which records rather
     than raises a vertex angle or wall without a tangency and a circle
-    around the origin."""
+    around the origin.  Circle mode reads its crossings from the half-sector
+    rule of the module docstring."""
     events = tangency_events(arr)
     k = arr.k
     missing = None
@@ -454,18 +393,19 @@ def _sweep_pass(arr: CircleArrangement) -> SweepCertificate:
             s_hi = sin_half_sector_bounds(k)[1]
             folds = all(c.d * (1 - s_hi) > 0 for c in arr.circles)
         event_turns = {e.turn.turns for e in events}
-        decisions: dict[int, str] = {}
         vertices = []
         for j in range(1, k + 1):
             if arr.vertex_turn(j) in event_turns:
-                _certify_single_interval(arr, j, decisions)
                 vertices.append(j)
             elif missing is None:
                 missing = j
         vertices.sort(key=arr.vertex_turn)
-        bands = tuple(_sector_bands(arr, j) for j in range(1, k + 1))
-        counts = tuple(_certified_channel_count(arr, b, decisions)
-                       for b in bands)
+        members: list[list[tuple[int, PlacedCircle]]] = [[] for _ in range(k)]
+        for i, c in enumerate(arr.circles):
+            members[c.sector - 1].append((i, c))
+        bands = tuple(_sector_bands(arr, j, members[j - 1])
+                      for j in range(1, k + 1))
+        counts = tuple(b.channels for b in bands)
     else:
         counts = tuple(_line_counts(arr, j) for j in range(1, k + 1))
         # the two ellipse folds are always singular; an interior wall is
@@ -499,16 +439,14 @@ def verify_morse(arr: CircleArrangement) -> SweepCertificate:
     """The certified sweep pass, with its Morse data checked: both
     tangencies of every circle are nondegenerate folds (the origin,
     respectively the strip walls, lie strictly off the circle), every vertex
-    angle carries at least one tangency, and the saddle count matches the
-    removed-disk count."""
+    angle carries at least one tangency.  The saddle count is twice the
+    removed-disk count by construction: ``tangency_events`` lists two events
+    per circle."""
     cert = _sweep_pass(arr)
     if not cert.folds_nondegenerate:
         raise DegenerateEvent("circle surrounds the origin")
     if cert.missing_angle is not None:
         raise MissingSingularAngle(cert.missing_angle)
-    if cert.saddle_count != 2 * len(
-            [c for c in arr.circles if c.role.kind == "removed"]):
-        raise DegenerateEvent("saddle bookkeeping drifted")
     return cert
 
 

@@ -26,6 +26,9 @@ assert cli.main(["verify", "--model", out + "/model.json"]) == 0
 values = tracer.values
 assert values["poly.ellipsoid_height_calls"] > 0, dict(values)
 assert values["poly.containment_attempts"] > 0, dict(values)
+# one certified sweep pass per certificate: the graph, Euler report and
+# fibre table are read from it without a second pass
+assert values["sweep.passes"] == 2, dict(values)
 """
 
 

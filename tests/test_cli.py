@@ -73,6 +73,19 @@ def move_site(data):
     data["sites"][0]["sector"] = (data["sites"][0]["sector"] + 1) % 3
 
 
+def relabel_sector_3_as_0(data):
+    """Sector 0 of 3 has the geometry of sector 3: the circle keeps its
+    distance and its factor turn moves from 7/6 to 1/6, so only the sector
+    range can refuse the model."""
+    circle = next(c for c in data["arrangement"]["circles"]
+                  if c["sector"] == 3)
+    circle["sector"] = 0
+    for stage in data["polynomial"]["stages"]:
+        for factor in stage["factors"]:
+            if factor.get("turn") == "7/6":
+                factor["turn"] = "1/6"
+
+
 def shift_derived(data):
     for key in ("degree", "dimension", "ambient_dimension"):
         data[key] += 2
@@ -292,16 +305,35 @@ class TestVerify:
         ("export", "polynomial",
          lambda p: p["stages"][0]["factors"][0].update(a="1/0")),
         ("verify", "arrangement", lambda a: a.update(k=0)),
-    ], ids=["circle_d", "factor_a", "sectors_0"])
+        ("verify", None, relabel_sector_3_as_0),
+        ("verify", "arrangement", lambda a: a.update(precision_bits=0)),
+    ], ids=["circle_d", "factor_a", "sectors_0", "circle_sector_0",
+            "precision_bits_0"])
     def test_malformed_model_is_exit_two(self, tmp_path, capsys, command,
                                          part, edit):
         out = synthesized(tmp_path)
         path = out / "model.json"
         data = json.loads(path.read_text())
-        edit(data[part])
+        edit(data if part is None else data[part])
         write_json(path, data)
         assert main([command, "--model", str(path), "--out", str(out)]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name,flag", [
+        ("verify", "model.json", "--model"),
+        ("plot", "arrangement.json", "--arrangement"),
+    ], ids=["verify", "plot"])
+    def test_line_sector_past_last_strip_is_exit_two(self, tmp_path, capsys,
+                                                     command, name, flag):
+        out = synthesized(tmp_path, mults=(1, 2, 1), mode="line")
+        path = out / name
+        data = json.loads(path.read_text())
+        arr = data["arrangement"] if name == "model.json" else data
+        arr["circles"][0]["sector"] = arr["k"] + 1
+        write_json(path, data)
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "sector 4 outside 1..3" in err
 
     @pytest.mark.parametrize("flags,message", [
         (["--points", "0"], "got points 0, seed 0"),

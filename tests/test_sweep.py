@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from reebforge import (CountMismatch, MissingSingularAngle, build_arrangement,
-                       cli, euler_check, fiber_counts_check, path_isomorphic,
-                       reeb_isomorphic, sweep, sweep_reeb, synthesize,
-                       validated, verify_morse)
+                       euler_check, fiber_counts_check, path_isomorphic,
+                       reeb_isomorphic, sweep_reeb, validated, verify_morse)
+from reebforge.numbers import interval_inf, interval_precision, \
+    interval_sup, turn_sin_cos
 from reebforge.sweep import ReebGraphResult
 from conftest import HANDLE_CORPUS, NAMED_CORPUS, circle_spec, line_spec, \
     torus_spec
@@ -119,20 +121,53 @@ class TestVerifyMorse:
         assert feet == {Fraction(-1, 3), Fraction(1, 3)}
 
 
-class TestSinglePass:
-    @pytest.mark.parametrize("name,spec", NAMED_CORPUS + HANDLE_CORPUS)
-    def test_certificate_decides_each_crossing_once(self, name, spec,
-                                                    monkeypatch):
-        # one ray per vertex angle and per bisector, each checked against
-        # every circle, and no second pass for the graph, Euler or fibres
-        model = synthesize(validated(spec))
-        calls = []
-        crossing = sweep._ray_crossing
-        monkeypatch.setattr(sweep, "_ray_crossing",
-                            lambda *args: calls.append(args) or crossing(*args))
-        cli._certificate(model)
-        arr = model.arrangement
-        assert len(calls) == 2 * arr.k * len(arr.circles)
+def _reference_crossing(dt, k, bits):
+    """Interval decision of a ray at turn offset dt from the bisector of a
+    circle tangent to both rays of a sector of k: the ray-line distance
+    d*|sin(2 pi dt)| against the radius d*sin(pi/k), in front of the
+    origin when cos(2 pi dt) > 0."""
+    if abs(dt) == Fraction(1, 2 * k):
+        return "tangent"
+    with interval_precision(bits):
+        sin_dt, cos_dt = turn_sin_cos(dt)
+        s = iv.sin(iv.pi / k)
+        mag = abs(sin_dt)
+        if interval_sup(mag) < interval_inf(s) and interval_inf(cos_dt) > 0:
+            return "hit"
+        if interval_inf(mag) > interval_sup(s) or interval_sup(cos_dt) < 0:
+            return "miss"
+    raise AssertionError("reference undecided at dt=%s, k=%d" % (dt, k))
+
+
+def _half_sector_rule(h):
+    return "hit" if h == 0 else "tangent" if abs(h) == 1 else "miss"
+
+
+class TestHalfSectorRule:
+    # the sweep reads every crossing from the rule of the sweep module
+    # docstring; an interval decision is the independent reference
+    @pytest.mark.parametrize("bits", [16, 128])
+    def test_every_offset_small_k(self, bits):
+        for k in range(3, 41):
+            for h in range(-k + 1, k + 1):
+                assert _half_sector_rule(h) == _reference_crossing(
+                    Fraction(h, 2 * k), k, bits), (k, h, bits)
+
+    @pytest.mark.parametrize("bits", [16, 128])
+    @pytest.mark.parametrize("k", [200, 2000, 10 ** 5])
+    def test_key_offsets_large_k(self, k, bits):
+        for h in (0, 1, -1, 2, -2, k // 2 + 1, k // 2 - 1, k):
+            assert _half_sector_rule(h) == _reference_crossing(
+                Fraction(h, 2 * k), k, bits), (k, h, bits)
+
+
+class TestSweepAtScale:
+    def test_600_vertex_cycle(self):
+        mults = tuple(2 + j % 2 for j in range(600))
+        v = validated(circle_spec(mults))
+        cert = verify_morse(build_arrangement(v))
+        assert reeb_isomorphic(v, cert.reeb_graph())
+        assert cert.sector_channel_counts == mults
 
 
 class TestEuler:
