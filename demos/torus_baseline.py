@@ -23,7 +23,7 @@ def main():
     result = sweep_reeb(arr)
     print("reeb graph has no vertex circle:", result.no_vertex_circle)
 
-    report = euler_check(arr)
+    report = euler_check(arr, spec)
     print("euler characteristic:", report.chi_from_saddles,
           "genus:", report.genus)
 

@@ -111,14 +111,14 @@ def _certificate(model: SurfaceModel):
         "disjointness": {
             "epsilon": format_rational(dis.epsilon),
             "min_margin": decimal_string(dis.min_margin, 12),
-            "pairs": len(dis.entries),
+            "pairs": len(dis.entries) + dis.lemma_pairs,
         },
         "morse": morse.to_json(),
         "reeb_graph": result.to_json(),
         "isomorphic_to_spec": True,
     }
     if vspec.dimension == 2:
-        cert["euler"] = morse.euler_report().to_json()
+        cert["euler"] = morse.euler_report(vspec).to_json()
     if arr.mode == "circle" and arr.k:
         cert["fibers"] = morse.fiber_table(vspec).to_json()
     return cert, result

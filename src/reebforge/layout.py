@@ -15,23 +15,55 @@ with c a proper 3-colouring of the sector cycle.
 
 All chosen parameters are exact rationals.  Predicates that involve
 sin(pi/k) are decided against certified dyadic bounds; final clearances are
-re-certified with interval arithmetic in ``certify_disjointness``.
+re-certified in ``certify_disjointness``.
 
 Line mode: the region is bounded by an axis-aligned ellipse, vertices sit at
 equally spaced abscissae, and circles are tangent to the two vertical lines
 of their strip, stacked vertically with staggered offsets.
+
+Far-pair lemma.  The clearance of two closed disks is the distance between
+their centres minus both radii, the distance between the disks when it is
+positive.
+
+Circle mode, k >= 4.  A disk of sector j, centred on the bisector at
+distance d > 0 with radius d*s, lies in the closed wedge between the rays
+at turns j/k and (j+1)/k, and each of its points p has |p| >= d*(1-s).  Let
+rho = min_i d_i*(1-s) > 0.  Take disks D and D' whose sectors are neither
+equal nor cyclically adjacent.  At least one whole sector separates their
+wedges on either side, so the angle phi in [0, pi] between any p in D and
+q in D' is at least 2*pi/k.  If phi <= pi/2, then |p - q| is at least the
+distance from q to the line through 0 and p, which is
+|q|*sin(phi) >= rho*sin(2*pi/k), since sin increases on [0, pi/2] and
+2*pi/k <= pi/2.  If phi > pi/2, then |p - q|^2 >= |p|^2 + |q|^2 >= 2*rho^2,
+so |p - q| > rho >= rho*sin(2*pi/k).  Hence every such pair has clearance at
+least rho*sin(2*pi/k) >= min_i d_i * (1 - s_hi) * 2*s_lo*c_lo, with the
+certified dyadic bounds s_lo <= sin(pi/k) <= s_hi and c_lo <= cos(pi/k).
+For k <= 3 every two sectors are equal or adjacent.
+
+Line mode.  Let the walls x_0 < ... < x_k increase, w be the least strip
+width, and sigma the least slack of a disk to the two walls of its own
+strip (0 for the tangent disks built here; negative if a disk crosses a
+wall).  A disk of strip j has every point at x <= x_j - sigma, and a disk of
+strip j' >= j + 2 has every point at x >= x_(j'-1) + sigma, so the pair has
+clearance at least x_(j'-1) - x_j + 2*sigma >= w + 2*sigma: the strips
+j+1..j'-1 lie between them.
+
+So ``certify_disjointness`` computes margins only for the pairs in one
+sector or strip and in neighbouring ones, with the boundary margins, and
+certifies the far pairs by checking the lemma's one bound against epsilon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from mpmath import iv
 
-from .errors import MarginViolation, PackingFailure
+from .errors import MarginViolation, ModelMismatch, PackingFailure
 from .graphs import ValidatedSpec
 from .numbers import (
     BOUND_BITS,
@@ -190,17 +222,34 @@ class CircleArrangement:
         if "ellipse" in data:
             axes = (parse_rational(data["ellipse"][0]),
                     parse_rational(data["ellipse"][1]))
+        abscissae = tuple(parse_rational(x)
+                          for x in data.get("abscissae", []))
+        if data["mode"] == "line":
+            if len(abscissae) != k + 1:
+                raise ValueError("a line arrangement of %d strips needs %d "
+                                 "abscissae, got %d"
+                                 % (k, k + 1, len(abscissae)))
+            if any(a >= b for a, b in zip(abscissae, abscissae[1:])):
+                raise ValueError("line arrangement abscissae must increase")
+        halfwidth = parse_rational(data["a"])
+        epsilon = parse_rational(data["epsilon"])
+        # every margin is certified against epsilon, so it is not data
+        derived = _epsilon_for(halfwidth, circles, k, data["mode"])
+        if epsilon != derived:
+            raise ModelMismatch(
+                "arrangement epsilon %s is not %s, the one its circles give"
+                % (format_rational(epsilon), format_rational(derived)))
         return CircleArrangement(
             mode=data["mode"],
             k=k,
-            halfwidth=parse_rational(data["a"]),
+            halfwidth=halfwidth,
             circles=tuple(circles),
-            epsilon=parse_rational(data["epsilon"]),
+            epsilon=epsilon,
             precision_bits=check_precision_bits(
                 data.get("precision_bits", DEFAULT_PRECISION_BITS),
                 "arrangement precision_bits"),
             ellipse_axes=axes,
-            abscissae=tuple(parse_rational(x) for x in data.get("abscissae", [])),
+            abscissae=abscissae,
         )
 
 
@@ -216,6 +265,7 @@ def _sector_colors(k: int) -> list[int]:
     return [(j - 1) % 2 for j in range(1, k)] + [2]
 
 
+@lru_cache(maxsize=None)
 def _gap_factor(n_max: int) -> Fraction:
     """Largest 1 + 2**-u whose (n_max+1)-th power stays within the safety
     factor after reserving the stagger budget twice: the phase both stretches
@@ -266,31 +316,36 @@ def place_sector_chain(sector: int, count: int, halfwidth: Fraction,
         return []
     if n_max is None:
         n_max = count
-    s_lo, s_hi = sin_half_sector_bounds(k)
-    rho_hi = (1 + s_hi) / (1 - s_hi)
-    lam = _gap_factor(n_max)
-    rhat = rho_hi * lam
-    lo = 1 - halfwidth
-    hi = 1 + halfwidth
+    chain = _unphased_chain(count, halfwidth, k, n_max)
+    if chain[0] <= 0:
+        raise PackingFailure("empty admissible range in sector %d" % sector)
+    distances = [d * phase for d in chain]
 
+    # exact containment verification with a quarter-step relative margin
+    s_hi = sin_half_sector_bounds(k)[1]
+    mu = 1 + (_gap_factor(n_max) - 1) / 4
+    if distances[0] * (1 - s_hi) < (1 - halfwidth) * mu:
+        raise PackingFailure("inner margin failed in sector %d" % sector)
+    if distances[-1] * (1 + s_hi) * mu > 1 + halfwidth:
+        raise PackingFailure("outer margin failed in sector %d" % sector)
+    return distances
+
+
+@lru_cache(maxsize=256)
+def _unphased_chain(count: int, halfwidth: Fraction, k: int,
+                    n_max: int) -> tuple[Fraction, ...]:
+    """The distances of a count-circle chain before its sector's phase.  A
+    sector enters only through its circle count, so one arrangement
+    computes each chain length once."""
+    s_hi = sin_half_sector_bounds(k)[1]
+    rhat = (1 + s_hi) / (1 - s_hi) * _gap_factor(n_max)
     with interval_precision(BOUND_BITS + 32):
-        fit_lo = to_interval(lo) / (1 - to_interval(s_hi))
-        fit_hi = to_interval(hi) / (1 + to_interval(s_hi))
+        fit_lo = to_interval(1 - halfwidth) / (1 - to_interval(s_hi))
+        fit_hi = to_interval(1 + halfwidth) / (1 + to_interval(s_hi))
         gmean = iv.sqrt(fit_lo * fit_hi)
         anchor = gmean / iv.sqrt(to_interval(rhat) ** (count - 1))
         d_base = dyadic_significant(interval_mid(anchor), BOUND_BITS)
-    if d_base <= 0:
-        raise PackingFailure("empty admissible range in sector %d" % sector)
-
-    distances = [d_base * rhat ** (i - 1) * phase for i in range(1, count + 1)]
-
-    # exact containment verification with a quarter-step relative margin
-    mu = 1 + (lam - 1) / 4
-    if distances[0] * (1 - s_hi) < lo * mu:
-        raise PackingFailure("inner margin failed in sector %d" % sector)
-    if distances[-1] * (1 + s_hi) * mu > hi:
-        raise PackingFailure("outer margin failed in sector %d" % sector)
-    return distances
+    return tuple(d_base * rhat ** i for i in range(count))
 
 
 def _radial_roles(spec: ValidatedSpec, j: int) -> list[CircleRole]:
@@ -428,40 +483,100 @@ def _build_line_arrangement(spec: ValidatedSpec) -> CircleArrangement:
 
 @dataclass(frozen=True)
 class DisjointnessReport:
+    """Numeric margins of the near pairs and the boundary, and the count of
+    far pairs certified by the lemma of the module docstring."""
+
     entries: tuple[tuple[str, Fraction], ...]
     min_margin: Fraction
     epsilon: Fraction
+    lemma_pairs: int
+
 
 
 def certify_disjointness(arr: CircleArrangement) -> DisjointnessReport:
     """Certified clearances between all placed disks and the region boundary.
 
-    Circle mode runs a vectorized outward-rounded float64 pass over all
-    boundary and pair margins, then re-certifies any entry whose float bound
-    comes within a small factor of epsilon with high-precision intervals.
-    Raises MarginViolation when a certified lower bound fails to exceed the
+    Only the pairs in one sector (strip) or in neighbouring ones, cyclically
+    in circle mode, get a numeric margin, as do the disks against the
+    boundary; every other pair is certified at once by the far-pair lemma
+    of the module docstring, whose bound is checked against epsilon.
+    Circle mode runs a vectorized outward-rounded float64 pass over its
+    margins, then re-certifies any entry whose float bound comes within a
+    small factor of epsilon with high-precision intervals; line mode
+    encloses each pair margin with intervals.  ``min_margin`` is the least
+    numeric margin, or the lemma's bound when that is smaller.  Raises
+    MarginViolation when a certified lower bound fails to exceed the
     arrangement's epsilon.
     """
-    entries: list[tuple[str, Fraction]] = []
+    if not arr.circles:
+        return DisjointnessReport((), Fraction(1), arr.epsilon, 0)
+    first, second = _near_pairs(arr)
     if arr.mode == "circle":
-        if arr.circles:
-            entries.extend(_circle_mode_margins(arr))
+        entries = _circle_mode_margins(arr, first, second)
     else:
         with interval_precision(arr.precision_bits):
-            _line_mode_margins(arr, entries)
-    if not entries:
-        return DisjointnessReport((), Fraction(1), arr.epsilon)
+            entries = _line_mode_margins(arr, first, second)
     min_margin = min(m for _, m in entries)
     if min_margin <= arr.epsilon:
         label, margin = next(e for e in entries if e[1] <= arr.epsilon)
         raise MarginViolation(label, margin)
-    return DisjointnessReport(tuple(entries), min_margin, arr.epsilon)
-
-
-def _circle_mode_margins(arr: CircleArrangement):
     n = len(arr.circles)
-    d_lo = np.array([float_bounds(c.d)[0] for c in arr.circles])
-    d_hi = np.array([float_bounds(c.d)[1] for c in arr.circles])
+    lemma_pairs = n * (n - 1) // 2 - len(first)
+    if lemma_pairs:
+        bound = _far_pair_bound(arr)
+        if bound <= arr.epsilon:
+            raise MarginViolation("pairs two or more %s apart" % (
+                "sectors" if arr.mode == "circle" else "strips"), bound)
+        min_margin = min(min_margin, bound)
+    return DisjointnessReport(tuple(entries), min_margin, arr.epsilon,
+                              lemma_pairs)
+
+
+def _ranges(starts, counts):
+    """Concatenation of range(starts[p], starts[p] + counts[p]) over p."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts + counts - ends, counts) + np.arange(ends[-1])
+
+
+def _near_pairs(arr: CircleArrangement):
+    """Indices i < j, in lexicographic order, of the circle pairs in one
+    sector or strip or in neighbouring ones (cyclically in circle mode)."""
+    sectors = np.array([c.sector for c in arr.circles])
+    order = np.argsort(sectors, kind="stable")
+    size = np.bincount(sectors, minlength=arr.k + 2)    # strip k + 1 empty
+    start = np.cumsum(size) - size
+    sec = sectors[order]
+    nxt = sec % arr.k + 1 if arr.mode == "circle" else sec + 1
+    pos = np.arange(len(sec))
+    later = start[sec] + size[sec] - pos - 1            # same sector, after
+    a = order[np.concatenate((np.repeat(pos, later),
+                              np.repeat(pos, size[nxt])))]
+    b = order[np.concatenate((_ranges(pos + 1, later),
+                              _ranges(start[nxt], size[nxt])))]
+    first, second = np.minimum(a, b), np.maximum(a, b)
+    keep = np.lexsort((second, first))
+    return first[keep], second[keep]
+
+
+def _far_pair_bound(arr: CircleArrangement) -> Fraction:
+    """The far-pair lemma's lower bound on the clearance of every pair of
+    disks two or more sectors (strips) apart."""
+    if arr.mode == "circle":
+        s_lo, s_hi = sin_half_sector_bounds(arr.k)
+        c_lo, _ = cos_half_sector_bounds(arr.k)
+        rho = min(c.d for c in arr.circles) * (1 - s_hi)
+        return rho * 2 * s_lo * c_lo
+    walls = arr.abscissae
+    width = min(hi - lo for lo, hi in zip(walls, walls[1:]))
+    slack = min(min(c.center[0] - c.radius - walls[c.sector - 1],
+                    walls[c.sector] - c.center[0] - c.radius)
+                for c in arr.circles)
+    return width + 2 * slack
+
+
+def _circle_mode_margins(arr: CircleArrangement, first, second):
+    n = len(arr.circles)
+    d_lo, d_hi = np.array([float_bounds(c.d) for c in arr.circles]).T
     s_lo_f, _ = float_bounds(sin_half_sector_bounds(arr.k)[0])
     _, s_hi_f = float_bounds(sin_half_sector_bounds(arr.k)[1])
     s_box = BoxArray(np.float64(s_lo_f), np.float64(s_hi_f))
@@ -472,10 +587,9 @@ def _circle_mode_margins(arr: CircleArrangement):
     inner = d_box * (BoxArray.exact(1.0) - s_box) - lo_box
     outer = hi_box - d_box * (BoxArray.exact(1.0) + s_box)
 
-    # every pair i < j; two bisectors differ by (sector_i - sector_j) mod k
-    # sectors, so cos of a pair's angle is enclosed once per sector offset
-    # o, at turn o/k
-    first, second = np.triu_indices(n, 1)
+    # two bisectors differ by (sector_i - sector_j) mod k sectors, which is
+    # 0, 1 or k - 1 for a near pair, so cos of a pair's angle is enclosed
+    # once per sector offset o, at turn o/k
     sectors = np.array([c.sector for c in arr.circles])
     offsets = (sectors[first] - sectors[second]) % arr.k
     table_lo = np.ones(arr.k)
@@ -534,8 +648,9 @@ def _slow_circle_margin(arr: CircleArrangement, label: str) -> Fraction:
     return interval_inf(dist - (di + dj) * s)
 
 
-def _line_mode_margins(arr: CircleArrangement, entries):
+def _line_mode_margins(arr: CircleArrangement, first, second):
     ax, ay = arr.ellipse_axes
+    entries = []
     for i, c in enumerate(arr.circles):
         # functional ellipse margin on the disk's bounding box (a certified
         # lower bound for the true clearance functional)
@@ -543,15 +658,14 @@ def _line_mode_margins(arr: CircleArrangement, entries):
         top_y = abs(c.center[1]) + c.radius
         margin = 1 - edge_x ** 2 / ax ** 2 - top_y ** 2 / ay ** 2
         entries.append(("ellipse:%d" % i, Fraction(margin)))
-    for i in range(len(arr.circles)):
-        for j in range(i + 1, len(arr.circles)):
-            ci, cj = arr.circles[i], arr.circles[j]
-            dx = ci.center[0] - cj.center[0]
-            dy = ci.center[1] - cj.center[1]
-            gap2 = to_interval(dx * dx + dy * dy)
-            dist = iv.sqrt(gap2)
-            entries.append(("pair:%d:%d" % (i, j),
-                            interval_inf(dist - to_interval(ci.radius + cj.radius))))
+    for i, j in zip(first.tolist(), second.tolist()):
+        ci, cj = arr.circles[i], arr.circles[j]
+        dx = ci.center[0] - cj.center[0]
+        dy = ci.center[1] - cj.center[1]
+        dist = iv.sqrt(to_interval(dx * dx + dy * dy))
+        gap = dist - to_interval(ci.radius + cj.radius)
+        entries.append(("pair:%d:%d" % (i, j), interval_inf(gap)))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Three layers, cheapest first:
   ``iv`` context) for one-off certified predicates, and for gradients as
   dual numbers over it;
 * vectorised float64 intervals with outward rounding (``BoxArray``) for bulk
-  certification work: the disjointness margins of every circle pair and the
-  factor values over each ellipsoid's disk cover.
+  certification work: the disjointness margins of the circle pairs in one
+  sector or in neighbouring ones, with the boundary margins, and the factor
+  values over each ellipsoid's disk cover.
 
 Nothing in here knows about circles or polynomials.
 """

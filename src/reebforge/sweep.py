@@ -14,11 +14,11 @@ tangency events, reads each sector's bands (removed chords and the handle
 circles of each channel) and with them the channel counts on the sector
 bisectors (in line mode: the chord counts on the strip midlines and the
 tangencies at the walls).  Its ``SweepCertificate`` keeps all of this; the
-Reeb graph, the Euler report and the fibre table are read from it without
-another crossing decision.  ``sweep_reeb``, ``euler_check`` and
-``fiber_counts_check`` run the pass and derive one of them.  A vertex angle
-without a tangency is recorded by the pass and raised by ``verify_morse``
-alone.
+Reeb graph, and the Euler report and the fibre table against the spec, are
+read from it without another crossing decision.  ``sweep_reeb``,
+``euler_check`` and ``fiber_counts_check`` run the pass and derive one of
+them.  A vertex angle without a tangency is recorded by the pass and raised
+by ``verify_morse`` alone.
 
 Half-sector rule.  Let k >= 3 and let a circle sit on its sector's bisector
 at distance d > 0 with radius d*sin(pi/k).  A ray from the origin h
@@ -324,22 +324,22 @@ class SweepCertificate:
         return ReebGraphResult(no_vertex_circle=False, vertices=vertices,
                                edges=tuple(edges), mode=arr.mode)
 
-    def euler_report(self, dimension: int = 2) -> EulerReport:
+    def euler_report(self, spec: ValidatedSpec) -> EulerReport:
         """Euler characteristic of the constructed surface two ways: Morse
-        counting of the sweep events against doubling of the planar region's
-        characteristic.  Surface case only."""
-        if dimension != 2:
+        counting of the sweep's saddles against doubling of the planar
+        region the spec prescribes, whose holes are its sum of a_j - 1.
+        Surface case only."""
+        if spec.dimension != 2:
             raise ValueError("Euler bookkeeping is defined for surfaces")
-        arr = self.arrangement
-        removed = len([c for c in arr.circles if c.role.kind == "removed"])
-        if arr.mode == "circle":
+        holes = sum(a - 1 for a in spec.multiplicities)
+        if self.arrangement.mode == "circle":
             chi_sweep = -self.saddle_count
-            chi_region = 2 * (0 - removed)       # annulus minus holes, doubled
-            genus = 1 + removed
+            chi_region = 2 * (0 - holes)         # annulus minus holes, doubled
+            genus = 1 + holes
         else:
             chi_sweep = 2 - self.saddle_count    # two ellipse folds
-            chi_region = 2 * (1 - removed)       # disk minus holes, doubled
-            genus = removed
+            chi_region = 2 * (1 - holes)         # disk minus holes, doubled
+            genus = holes
         if chi_sweep != chi_region:
             raise EulerMismatch("saddle count gives chi=%d, region doubling "
                                 "gives chi=%d" % (chi_sweep, chi_region))
@@ -456,10 +456,10 @@ def sweep_reeb(arr: CircleArrangement, dimension: int = 2) -> ReebGraphResult:
     return _sweep_pass(arr).reeb_graph(dimension)
 
 
-def euler_check(arr: CircleArrangement, dimension: int = 2) -> EulerReport:
+def euler_check(arr: CircleArrangement, spec: ValidatedSpec) -> EulerReport:
     """Euler characteristic two ways over a Morse-verified sweep; see
     ``SweepCertificate.euler_report``.  Surface case only."""
-    return verify_morse(arr).euler_report(dimension)
+    return verify_morse(arr).euler_report(spec)
 
 
 def fiber_counts_check(arr: CircleArrangement,

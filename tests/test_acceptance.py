@@ -193,8 +193,9 @@ def test_criterion_08_euler_characteristic():
     specs = [spec for _, spec in NAMED_CORPUS if spec.multiplicities]
     specs += [random_surface_spec(rng, max_vertices=8) for _ in range(10)]
     for spec in specs:
-        arr = build_arrangement(validated(spec))
-        report = euler_check(arr)
+        v = validated(spec)
+        arr = build_arrangement(v)
+        report = euler_check(arr, v)
         saddles = verify_morse(arr).saddle_count
         assert report.chi_from_saddles == report.chi_from_region
         assert report.chi_from_saddles == -saddles
@@ -202,7 +203,7 @@ def test_criterion_08_euler_characteristic():
             -2 * sum(a - 1 for a in spec.multiplicities)
 
     torus = synthesize(validated(torus_spec()))
-    report = euler_check(torus.arrangement)
+    report = euler_check(torus.arrangement, torus.spec)
     assert report.chi_from_saddles == report.chi_from_region == 0
     assert torus.degree == 4
 

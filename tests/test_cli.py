@@ -86,6 +86,10 @@ def relabel_sector_3_as_0(data):
                 factor["turn"] = "1/6"
 
 
+def cut_abscissae(arr):
+    del arr["abscissae"][2:]
+
+
 def shift_derived(data):
     for key in ("degree", "dimension", "ambient_dimension"):
         data[key] += 2
@@ -334,6 +338,48 @@ class TestVerify:
         assert main([command, flag, str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "invalid input" in err and "sector 4 outside 1..3" in err
+
+    @pytest.mark.parametrize("command,name,flag", [
+        ("verify", "model.json", "--model"),
+        ("plot", "model.json", "--model"),
+        ("plot", "arrangement.json", "--arrangement"),
+    ], ids=["verify", "plot_model", "plot_arrangement"])
+    @pytest.mark.parametrize("edit,message", [
+        (cut_abscissae, "3 strips needs 4 abscissae, got 2"),
+        (lambda arr: arr.update(k=5), "5 strips needs 6 abscissae, got 4"),
+        (lambda arr: arr["abscissae"].reverse(), "abscissae must increase"),
+    ], ids=["cut", "k_5", "reversed"])
+    def test_line_abscissae_are_checked(self, tmp_path, capsys, command,
+                                        name, flag, edit, message):
+        out = synthesized(tmp_path, mults=(1, 2, 1), mode="line")
+        path = out / name
+        data = json.loads(path.read_text())
+        arr = data["arrangement"] if name == "model.json" else data
+        edit(arr)
+        write_json(path, data)
+        assert main([command, flag, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and message in err
+
+    @pytest.mark.parametrize("command,name,flag", [
+        ("verify", "model.json", "--model"),
+        ("plot", "model.json", "--model"),
+        ("plot", "arrangement.json", "--arrangement"),
+    ], ids=["verify", "plot_model", "plot_arrangement"])
+    @pytest.mark.parametrize("epsilon", ["-1/1", "0/1"])
+    def test_epsilon_is_derived(self, tmp_path, capsys, command, name, flag,
+                                epsilon):
+        # a margin is certified against epsilon, which a file cannot lower
+        out = synthesized(tmp_path)
+        path = out / name
+        data = json.loads(path.read_text())
+        arr = data["arrangement"] if name == "model.json" else data
+        arr["epsilon"] = epsilon
+        write_json(path, data)
+        assert main([command, flag, str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "certification failed" in err
+        assert "epsilon %s is not" % epsilon in err
 
     @pytest.mark.parametrize("flags,message", [
         (["--points", "0"], "got points 0, seed 0"),

@@ -1,14 +1,18 @@
 """Arrangement construction, certified disjointness, tangency events."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from reebforge import (CircleArrangement, GraphSpec, MarginViolation,
                        PackingFailure, build_arrangement,
                        certify_disjointness, choose_annulus_halfwidth,
                        tangency_events, validated)
+from reebforge.layout import _far_pair_bound
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
 
@@ -128,7 +132,6 @@ class TestDisjointness:
     def test_violation_on_forced_overlap(self):
         arr = build(circle_spec((2, 2, 2)))
         # grow every circle far past its certified clearance
-        from dataclasses import replace
         fat = replace(arr, circles=tuple(
             replace(c, d=c.d * 2) for c in arr.circles))
         with pytest.raises((MarginViolation, PackingFailure)):
@@ -199,3 +202,140 @@ class TestPackingProperties:
             lo, hi = arr.radius_bounds(c)
             assert 1 - arr.halfwidth < c.d - hi
             assert c.d + hi < 1 + arr.halfwidth
+
+
+def reference_margins(arr):
+    """Least clearance over every disk against the boundary and every disk
+    pair, and over the pairs two or more sectors (strips) apart alone, from
+    the exact parameters at 50 digits without any helper of ``layout``."""
+    margins, far = [], []
+    with mp.workdps(50):
+        def num(q):
+            return mp.mpf(q.numerator) / q.denominator
+
+        if arr.mode == "circle":
+            s = mp.sin(mp.pi / arr.k)
+            disks = []
+            for c in arr.circles:
+                d = num(c.d)
+                theta = mp.pi * (2 * c.sector + 1) / arr.k
+                disks.append((d * mp.cos(theta), d * mp.sin(theta), d * s))
+                margins.append(d * (1 - s) - num(1 - arr.halfwidth))
+                margins.append(num(1 + arr.halfwidth) - d * (1 + s))
+        else:
+            ax, ay = arr.ellipse_axes
+            disks = []
+            for c in arr.circles:
+                cx, cy = c.center
+                edge_x = max(abs(cx - c.radius), abs(cx + c.radius))
+                top_y = abs(cy) + c.radius
+                margins.append(num(1 - edge_x ** 2 / ax ** 2
+                                   - top_y ** 2 / ay ** 2))
+                disks.append((num(cx), num(cy), num(c.radius)))
+        for i, (xi, yi, ri) in enumerate(disks):
+            for j in range(i + 1, len(disks)):
+                xj, yj, rj = disks[j]
+                gap = mp.sqrt((xi - xj) ** 2 + (yi - yj) ** 2) - ri - rj
+                margins.append(gap)
+                if sectors_apart(arr, i, j) >= 2:
+                    far.append(gap)
+        return min(margins), min(far, default=mp.inf)
+
+
+def sectors_apart(arr, i, j):
+    apart = abs(arr.circles[i].sector - arr.circles[j].sector)
+    return min(apart, arr.k - apart) if arr.mode == "circle" else apart
+
+
+def as_mpf(q):
+    with mp.workdps(50):
+        return mp.mpf(q.numerator) / q.denominator
+
+
+@st.composite
+def far_sector_specs(draw):
+    k = draw(st.integers(4, 12))
+    mults = list(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    for i in range(k):
+        if mults[i] == 1 and mults[(i + 1) % k] == 1:
+            mults[(i + 1) % k] = 2
+    return circle_spec(mults)
+
+
+class TestPairSplit:
+    """Numeric margins for near pairs, the far-pair lemma for the rest."""
+
+    def check_against_reference(self, arr, boundary_entries):
+        report = certify_disjointness(arr)
+        n = len(arr.circles)
+        assert len(report.entries) + report.lemma_pairs == \
+            boundary_entries * n + n * (n - 1) // 2
+        near = {"pair:%d:%d" % (i, j)
+                for i in range(n) for j in range(i + 1, n)
+                if sectors_apart(arr, i, j) <= 1}
+        assert {label for label, _ in report.entries
+                if label.startswith("pair:")} == near
+        least, least_far = reference_margins(arr)
+        got = as_mpf(report.min_margin)
+        # a certified lower bound, within float enclosure width of the truth
+        assert least - mp.mpf(2) ** -40 <= got <= least + mp.mpf(2) ** -100
+        if report.lemma_pairs:
+            bound = _far_pair_bound(arr)
+            assert as_mpf(bound) <= least_far
+            assert report.min_margin <= bound
+        return report
+
+    @settings(max_examples=25, deadline=None)
+    @given(far_sector_specs())
+    def test_circle_specs_match_all_pairs(self, spec):
+        # no two cyclically adjacent unit multiplicities, so some sectors
+        # two or more apart both hold circles
+        assert self.check_against_reference(build(spec), 2).lemma_pairs > 0
+
+    @pytest.mark.parametrize("name,spec", LINE_CORPUS + [
+        ("line (1,3,4,2,2,4,3,1)", line_spec((1, 3, 4, 2, 2, 4, 3, 1)))])
+    def test_line_specs_match_all_pairs(self, name, spec):
+        self.check_against_reference(build(spec), 1)
+
+    def test_touching_adjacent_circles_are_named(self):
+        arr = build(circle_spec((2, 3, 2, 3, 2)))
+        i = next(i for i, c in enumerate(arr.circles) if c.sector == 1)
+        j = next(j for j, c in enumerate(arr.circles) if c.sector == 2)
+        # at one distance, neighbours touch at their shared tangency foot
+        circles = list(arr.circles)
+        circles[j] = replace(circles[j], d=circles[i].d)
+        with pytest.raises(MarginViolation) as err:
+            certify_disjointness(replace(arr, circles=tuple(circles)))
+        assert err.value.pair == "pair:%d:%d" % (i, j)
+        assert err.value.value <= arr.epsilon
+
+    def test_touching_adjacent_strips_are_named(self):
+        arr = build(line_spec((1, 3, 2, 1)))
+        i = next(i for i, c in enumerate(arr.circles) if c.sector == 2)
+        j = next(j for j, c in enumerate(arr.circles) if c.sector == 3)
+        # at one height, neighbours touch on their shared wall
+        circles = list(arr.circles)
+        cx, _ = circles[j].center
+        circles[j] = replace(circles[j], center=(cx, circles[i].center[1]))
+        with pytest.raises(MarginViolation) as err:
+            certify_disjointness(replace(arr, circles=tuple(circles)))
+        assert err.value.pair == "pair:%d:%d" % (i, j)
+
+    def test_600_vertex_cycle_is_linear(self):
+        arr = build(circle_spec(tuple(2 + j % 2 for j in range(600))))
+        report = certify_disjointness(arr)
+        n = len(arr.circles)
+        chain = max(Counter(c.sector for c in arr.circles).values())
+        assert len(report.entries) <= 2 * n + 4 * n * chain
+        assert len(report.entries) + report.lemma_pairs == \
+            2 * n + n * (n - 1) // 2
+        assert report.min_margin > arr.epsilon
+
+    def test_far_bound_is_reported_when_least(self):
+        # past about k = 900 the lemma's bound, about rho*2*pi/k, falls
+        # below every near margin of this cycle
+        arr = build(circle_spec(tuple(3 - j % 2 for j in range(2000))))
+        report = certify_disjointness(arr)
+        bound = _far_pair_bound(arr)
+        assert report.min_margin == bound
+        assert bound < min(m for _, m in report.entries)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from reebforge import (CountMismatch, MissingSingularAngle, build_arrangement,
-                       euler_check, fiber_counts_check, path_isomorphic,
-                       reeb_isomorphic, sweep_reeb, validated, verify_morse)
+from reebforge import (CountMismatch, EulerMismatch, MissingSingularAngle,
+                       build_arrangement, euler_check, fiber_counts_check,
+                       path_isomorphic, reeb_isomorphic, sweep_reeb,
+                       validated, verify_morse)
 from reebforge.numbers import interval_inf, interval_precision, \
     interval_sup, turn_sin_cos
 from reebforge.sweep import ReebGraphResult
@@ -172,20 +173,33 @@ class TestSweepAtScale:
 
 class TestEuler:
     def test_two_computations_agree(self):
-        arr = build_arrangement(validated(circle_spec((2, 2, 1))))
-        report = euler_check(arr)
+        v = validated(circle_spec((2, 2, 1)))
+        report = euler_check(build_arrangement(v), v)
         assert report.chi_from_saddles == report.chi_from_region == -4
         assert report.genus == 3
 
     def test_torus_baseline(self):
-        report = euler_check(build_arrangement(validated(torus_spec())))
+        v = validated(torus_spec())
+        report = euler_check(build_arrangement(v), v)
         assert report.chi_from_saddles == report.chi_from_region == 0
         assert report.genus == 1
 
     def test_only_defined_for_surfaces(self):
-        arr = build_arrangement(validated(circle_spec((2, 2, 2))))
+        v = validated(circle_spec((2, 2, 2), dimension=5))
         with pytest.raises(ValueError):
-            euler_check(arr, dimension=5)
+            euler_check(build_arrangement(v), v)
+
+    @pytest.mark.parametrize("spec", [circle_spec((3, 2, 2)),
+                                      line_spec((1, 3, 2, 1))])
+    def test_dropped_removed_circle_is_caught(self, spec):
+        v = validated(spec)
+        arr = build_arrangement(v)
+        dropped = next(i for i, c in enumerate(arr.circles)
+                       if c.role.kind == "removed")
+        cut = dataclasses.replace(arr, circles=arr.circles[:dropped]
+                      + arr.circles[dropped + 1:])
+        with pytest.raises(EulerMismatch):
+            verify_morse(cut).euler_report(v)
 
 
 class TestFiberCounts:
