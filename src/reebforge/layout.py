@@ -198,8 +198,11 @@ class CircleArrangement:
 
     @staticmethod
     def from_json(data: dict) -> "CircleArrangement":
-        k = int(data["k"])
-        if data["mode"] == "circle" and data["circles"] and k < 3:
+        k, mode = int(data["k"]), data["mode"]
+        if mode not in ("circle", "line"):
+            raise ValueError("arrangement 'mode' must be 'circle' or 'line', "
+                             "got %r" % (mode,))
+        if mode == "circle" and data["circles"] and k < 3:
             raise ValueError("a circle arrangement with circles needs at "
                              "least 3 sectors")
         circles = []
@@ -219,12 +222,15 @@ class CircleArrangement:
                     center=(parse_rational(cx), parse_rational(cy)),
                     radius=parse_rational(item["radius"])))
         axes = None
-        if "ellipse" in data:
-            axes = (parse_rational(data["ellipse"][0]),
-                    parse_rational(data["ellipse"][1]))
         abscissae = tuple(parse_rational(x)
                           for x in data.get("abscissae", []))
-        if data["mode"] == "line":
+        if mode == "line":
+            axes = data.get("ellipse")
+            if not (isinstance(axes, list) and len(axes) == 2
+                    and min(map(parse_rational, axes)) > 0):
+                raise ValueError("a line arrangement needs 'ellipse', two "
+                                 "positive axes, got %r" % (axes,))
+            axes = tuple(map(parse_rational, axes))
             if len(abscissae) != k + 1:
                 raise ValueError("a line arrangement of %d strips needs %d "
                                  "abscissae, got %d"
@@ -234,13 +240,13 @@ class CircleArrangement:
         halfwidth = parse_rational(data["a"])
         epsilon = parse_rational(data["epsilon"])
         # every margin is certified against epsilon, so it is not data
-        derived = _epsilon_for(halfwidth, circles, k, data["mode"])
+        derived = _epsilon_for(halfwidth, circles, k, mode)
         if epsilon != derived:
             raise ModelMismatch(
                 "arrangement epsilon %s is not %s, the one its circles give"
                 % (format_rational(epsilon), format_rational(derived)))
         return CircleArrangement(
-            mode=data["mode"],
+            mode=mode,
             k=k,
             halfwidth=halfwidth,
             circles=tuple(circles),

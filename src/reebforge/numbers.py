@@ -240,6 +240,9 @@ class BoxArray:
             return cls(lo, hi)
         return cls(value)
 
+    def __getitem__(self, key) -> "BoxArray":
+        return BoxArray(self.lo[key], self.hi[key])
+
     def _coerce(self, other) -> "BoxArray":
         if isinstance(other, BoxArray):
             return other

@@ -20,7 +20,7 @@ dual numbers of mpmath intervals (`_Dual`, whose partials are the gradient of
 `eval_and_gradient`), and sparse monomial dictionaries, which give each
 factor's terms for the expansion; the dual and term pools are `_Lifted`
 scalar pools.  The membership oracle evaluates its factor margins, and
-`DiskValues` the factors over an ellipsoid's disk, through the same code.
+`DiskValues` the factors over the ellipsoids' disks, through the same code.
 
 The expansion (`_expand`) multiplies those terms in an integer kernel.
 Monomials are int64 keys, the exponents packed in mixed radix, so a
@@ -55,6 +55,11 @@ arrangement and the ellipsoid heights.  So in `model.json` only `spec`,
 derived.  Heights are checked data, not just stored: on load,
 `SurfaceModel.from_json` re-certifies each with `certify_ellipsoid_inside`
 as `synthesize` did, rebuilds the rest, and rejects a file that disagrees.
+Both read one `DiskValues` batch, the sites' disk covers concatenated in
+staging order, which evaluates each factor once over the cells of every
+site past its stage; so a model makes one Python evaluation per factor and
+one per site (its cell mask), while the array work stays sites x factors x
+cells, as every height is certified on its own disk's cells.
 """
 
 from __future__ import annotations
@@ -469,51 +474,92 @@ def _disk_planar_box(disk: Factor) -> tuple[Fraction, Fraction, Fraction, Fracti
     return bx_lo - r_hi, bx_hi + r_hi, by_lo - r_hi, by_hi + r_hi
 
 
-def _disk_covers(disk: Factor):
-    """The x and y boxes of successively finer interval covers of the
-    disk's bounding box, 16, 32 and 64 cells a side, keeping the cells
-    that may meet the closed disk."""
-    x_lo, x_hi, y_lo, y_hi = _disk_planar_box(disk)
-    disk = replace(disk, kind="circle", transverse=())
-    for n in (16, 32, 64):
-        ex = np.linspace(float_bounds(x_lo)[0], float_bounds(x_hi)[1], n + 1)
-        ey = np.linspace(float_bounds(y_lo)[0], float_bounds(y_hi)[1], n + 1)
-        bx = BoxArray(np.repeat(ex[:-1], n), np.repeat(ex[1:], n))
-        by = BoxArray(np.tile(ey[:-1], n), np.tile(ey[1:], n))
-        # drop cells certifiably outside the closed disk
-        keep = ~(_factor_value(disk, [bx, by], BoxConsts()).lo > 0)
-        yield [BoxArray(bx.lo[keep], bx.hi[keep]),
-               BoxArray(by.lo[keep], by.hi[keep])]
+def _disk_cells(disks: Sequence[Factor], n: int):
+    """The x and y boxes of the n-cells-a-side interval covers of the
+    disks' bounding boxes, keeping the cells that may meet each closed
+    disk, concatenated in order; and the offset of each disk's first cell,
+    then their total."""
+    ends = np.array([[float_bounds(x_lo)[0], float_bounds(x_hi)[1],
+                      float_bounds(y_lo)[0], float_bounds(y_hi)[1]]
+                     for x_lo, x_hi, y_lo, y_hi in map(_disk_planar_box, disks)
+                     ]).reshape(-1, 4)
+    # array ends give each row the doubles of its own linspace call
+    ex = np.linspace(ends[:, 0], ends[:, 1], n + 1, axis=1)
+    ey = np.linspace(ends[:, 2], ends[:, 3], n + 1, axis=1)
+    bx = BoxArray(np.repeat(ex[:, :-1], n, axis=1),
+                  np.repeat(ex[:, 1:], n, axis=1))
+    by = BoxArray(np.tile(ey[:, :-1], n), np.tile(ey[:, 1:], n))
+    # drop cells certifiably outside the closed disk
+    keep = np.zeros(bx.lo.shape, dtype=bool)
+    for i, disk in enumerate(disks):
+        circle = replace(disk, kind="circle", transverse=())
+        keep[i] = ~(_factor_value(circle, [bx[i], by[i]], BoxConsts()).lo > 0)
+    return [bx[keep], by[keep]], np.concatenate(([0], np.cumsum(keep.sum(1))))
 
 
 class DiskValues:
-    """Every factor of `poly` at t = 0, by stage, on each disk cover of
-    `_disk_covers(disk)`, with the stage products and their product F; a
+    """Every factor at t = 0, by stage, with the stage products and their
+    running product F, on the `cells`-a-side covers of `disks`, a model's
+    ellipsoid sites in staging order, concatenated.  A stage is evaluated
+    once, when the first site past it asks (`at`), over the suffix of cells
+    from that site's on; a site's slice holds the doubles a batch of one
+    would give it, as the arithmetic is elementwise."""
+
+    def __init__(self, disks: Sequence[Factor], cells: int = 16):
+        self.disks = tuple(disks)
+        self._xs, self._starts = _disk_cells(self.disks, cells)
+        self._stages: list = []  # (first cell, values, product, F) per stage
+
+    def at(self, j: int, poly: FactoredPolynomial):
+        """(values, products, F) of the stages of `poly` on site j's cells;
+        sites ask in staging order, each with the stages before its own."""
+        a, b = self._starts[j], self._starts[j + 1]
+        for stage in poly.stages[len(self._stages):]:
+            xs = [x[a:] for x in self._xs]
+            # an ellipsoid factor at t = 0 loses its transverse term
+            values = [_factor_value(replace(f, transverse=()), xs, BoxConsts())
+                      for f in stage.factors]
+            whole = product = reduce(operator.mul, values)
+            if self._stages:
+                start, _, _, previous = self._stages[-1]
+                whole = previous[a - start:] * product
+            self._stages.append((a, values, product, whole))
+        stages = self._stages[:len(poly.stages)]
+        start, _, _, whole = stages[-1]
+        if start > a:
+            raise ValueError("site %d asked after a later site" % j)
+        return ([[v[a - s:b - s] for v in vs] for s, vs, _, _ in stages],
+                [p[a - s:b - s] for s, _, p, _ in stages],
+                whole[a - start:b - start])
+
+
+class SiteCovers:
+    """Site j's cover values, coarsest first: its slice of the model's
+    16-cell `batch`, then 32 and 64 cells a side, each a batch of one.  A
     cover is evaluated when first reached and replayed afterwards, so the
     height bound and each containment attempt read one evaluation."""
 
-    def __init__(self, poly: FactoredPolynomial, disk: Factor):
-        # an ellipsoid factor at t = 0 loses its transverse term
-        self._stages = [[replace(f, transverse=()) for f in s.factors]
-                        for s in poly.stages]
-        self._covers = _disk_covers(disk)
+    def __init__(self, batch: DiskValues, j: int, poly: FactoredPolynomial):
+        self._covers = self._reach(batch, j, poly)
         self._seen: list = []
+
+    @staticmethod
+    def _reach(batch, j, poly):
+        yield batch.at(j, poly)
+        for cells in (32, 64):
+            yield DiskValues(batch.disks[j:j + 1], cells).at(0, poly)
 
     def __iter__(self):
         for i in itertools.count():
             if i == len(self._seen):
-                xs = next(self._covers, None)
-                if xs is None:
+                values = next(self._covers, None)
+                if values is None:
                     return
-                values = [[_factor_value(f, xs, BoxConsts()) for f in fs]
-                          for fs in self._stages]
-                products = [reduce(operator.mul, vs) for vs in values]
-                self._seen.append((values, products,
-                                   reduce(operator.mul, products)))
+                self._seen.append(values)
             yield self._seen[i]
 
 
-def ellipsoid_height(covers: DiskValues, where: str) -> Fraction:
+def ellipsoid_height(covers: SiteCovers, where: str) -> Fraction:
     """Transverse semi-axis h = sqrt(L)/2, where L is a certified lower
     bound of F = poly(x, 0) over the closed disk, from the first cover that
     gives a positive one (branch-and-bound interval refinement).  Raises
@@ -533,7 +579,7 @@ def ellipsoid_height(covers: DiskValues, where: str) -> Fraction:
     return h
 
 
-def certify_ellipsoid_inside(covers: DiskValues, height: Fraction) -> bool:
+def certify_ellipsoid_inside(covers: SiteCovers, height: Fraction) -> bool:
     """Certified check that the closed ellipsoid of height `height` over
     the disk of `covers` lies in {poly > 0}, read from those covers.
 
@@ -605,21 +651,27 @@ def staged_polynomial(spec: ValidatedSpec, arr: CircleArrangement,
     before the last stage and the rest up to m+1 at it; a stage without
     ellipsoids adds its squares to the stage before.  The zero set doubles
     {P >= 0} along its boundary, and each ellipsoid attaches a handle.
-    `height(poly, site, where)` gives the height of the ellipsoid `site`
-    (whose own height is unset) against `poly`, the earlier stages;
-    `where` names the site in errors."""
+    `height(poly, site, covers, where)` gives the height of the ellipsoid
+    `site` (whose own height is unset) against `poly`, the earlier stages,
+    from its `covers` (`SiteCovers` of one `DiskValues` batch of every
+    site); `where` names the site in errors."""
+    circles = [c for stage in range(spec.stages + 1) for c in arr.circles
+               if c.role.kind == "handle" and c.role.stage == stage]
+    batch = DiskValues([Factor(kind="ellipsoid", d=c.d,
+                               turn=arr.bisector_turn(c.sector),
+                               sectors=arr.k, scale=Fraction(1, 2))
+                        for c in circles])
     poly = region_polynomial(arr)
     for stage in range(spec.stages + 1):
         sites = []
-        for circle in arr.circles:
-            if circle.role.kind != "handle" or circle.role.stage != stage:
+        for j, circle in enumerate(circles):
+            if circle.role.stage != stage:
                 continue
-            site = Factor(kind="ellipsoid", d=circle.d,
-                          turn=arr.bisector_turn(circle.sector),
-                          sectors=arr.k, scale=Fraction(1, 2),
-                          transverse=tuple(range(2, poly.num_vars)))
+            site = replace(batch.disks[j],
+                           transverse=tuple(range(2, poly.num_vars)))
             where = "ellipsoid at sector %d stage %d" % (circle.sector, stage)
-            sites.append(replace(site, height=height(poly, site, where)))
+            h = height(poly, site, SiteCovers(batch, j, poly), where)
+            sites.append(replace(site, height=h))
         stages = poly.stages + ((Stage(tuple(sites), ()),) if sites else ())
         n = poly.num_vars
         new = tuple(range(n, n + 1 if stage < spec.stages
@@ -631,11 +683,10 @@ def staged_polynomial(spec: ValidatedSpec, arr: CircleArrangement,
 
 
 def _certified_height(poly: FactoredPolynomial, site: Factor,
-                      where: str) -> Fraction:
+                      covers: SiteCovers, where: str) -> Fraction:
     """A height at which `site` certifiably lies inside {poly > 0}: the
-    disk bound of `ellipsoid_height`, capped and then halved until
-    `certify_ellipsoid_inside` accepts it."""
-    covers = DiskValues(poly, site)
+    disk bound of `ellipsoid_height` over its `covers`, capped and then
+    halved until `certify_ellipsoid_inside` accepts it."""
     h = ellipsoid_height(covers, where)
     # the transverse wall of an existing ellipsoid factor grows like
     # r^2/h^2, so a new site must sit well under the thinnest height
@@ -708,11 +759,11 @@ class SurfaceModel:
         heights = (f.height for s in stored.stages for f in s.factors
                    if f.kind == "ellipsoid")
 
-        def stored_height(poly, site, where):
+        def stored_height(poly, site, covers, where):
             h = next(heights, None)
             if h is None:
                 raise ModelMismatch("%s has no stored height" % where)
-            if not certify_ellipsoid_inside(DiskValues(poly, site), h):
+            if not certify_ellipsoid_inside(covers, h):
                 raise ModelMismatch("%s: stored height not certified" % where)
             return h
 

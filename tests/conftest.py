@@ -1,8 +1,12 @@
 """Shared spec builders for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from reebforge import GraphSpec, validated
+from reebforge.graphs import graph_spec_from_json
 
 
 def circle_spec(multiplicities, dimension=2, handles=(), **kw):
@@ -53,3 +57,18 @@ def corpus_models():
     for name, spec in NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS:
         out[name] = synthesize(validated(spec))
     return out
+
+
+@pytest.fixture(scope="session")
+def benchmark_models():
+    """Models of the benchmark's `wide_cycle_round(1, 0)` and
+    `deep_handles_round(1, 0)` specs, by slot."""
+    from reebforge import synthesize
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = (workloads.wide_cycle_round(1, 0)[:1]
+             + workloads.deep_handles_round(1, 0)[:2])
+    return {task["slot"]: synthesize(validated(graph_spec_from_json(
+        task["spec"]))) for task in tasks}

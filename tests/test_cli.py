@@ -304,6 +304,24 @@ class TestVerify:
         if name == "heights_x1000":
             assert "ellipsoid at sector 1 stage 1" in err
 
+    def test_refused_last_stage_height_names_its_site(self, tmp_path,
+                                                      capsys):
+        # the sites share one batch of cover values, yet are still
+        # certified one by one in staging order: only the last is refused
+        out = synthesized(tmp_path, mults=(2, 1, 1), dimension=7,
+                          handles=[{"edge": [2, 1], "sequence": [1, 0, 1]}])
+        path = out / "model.json"
+        data = json.loads(path.read_text())
+        last = [f for stage in data["polynomial"]["stages"]
+                for f in stage["factors"] if f["kind"] == "ellipsoid"][-1]
+        for factor in (last, data["sites"][-1]["factor"]):
+            factor["height"] = times_1000(factor["height"])
+        write_json(path, data)
+        code = main(["verify", "--model", str(path), "--points", "2000"])
+        assert code == 4
+        assert ("certification failed: ellipsoid at sector 2 stage 3: "
+                "stored height not certified") in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,part,edit", [
         ("verify", "arrangement", lambda a: a["circles"][0].update(d="1/0")),
         ("export", "polynomial",
@@ -348,7 +366,16 @@ class TestVerify:
         (cut_abscissae, "3 strips needs 4 abscissae, got 2"),
         (lambda arr: arr.update(k=5), "5 strips needs 6 abscissae, got 4"),
         (lambda arr: arr["abscissae"].reverse(), "abscissae must increase"),
-    ], ids=["cut", "k_5", "reversed"])
+        (lambda arr: arr.pop("ellipse"),
+         "a line arrangement needs 'ellipse', two positive axes, got None"),
+        (lambda arr: arr.update(ellipse=["1"]),
+         "needs 'ellipse', two positive axes, got ['1']"),
+        (lambda arr: arr.update(ellipse=["-1", "0"]),
+         "needs 'ellipse', two positive axes, got ['-1', '0']"),
+        (lambda arr: arr.update(mode="foo"),
+         "arrangement 'mode' must be 'circle' or 'line', got 'foo'"),
+    ], ids=["cut", "k_5", "reversed", "no_ellipse", "ellipse_1",
+            "ellipse_nonpositive", "mode_foo"])
     def test_line_abscissae_are_checked(self, tmp_path, capsys, command,
                                         name, flag, edit, message):
         out = synthesized(tmp_path, mults=(1, 2, 1), mode="line")

@@ -1,11 +1,9 @@
 """Sampled region oracle, graph smoothing, membership spot checks."""
 
 import dataclasses
-import importlib.util
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from reebforge import (brute_oracle_reeb, build_arrangement, evaluate_floats,
                        sweep_reeb, synthesize, validated)
 from reebforge import oracle
 from reebforge.errors import ResolutionTooCoarse
-from reebforge.graphs import graph_spec_from_json
 from reebforge.layout import tangency_events
 from reebforge.numbers import format_rational
 from reebforge.oracle import (MEMBERSHIP_GUARD, _circle_slices, _Complex,
@@ -297,24 +294,6 @@ def dense_screen(model, x, y):
     points[0], points[1] = x, y
     positive = evaluate_floats(poly, points) > 0.0
     return np.stack([member, small, small | (positive != member)])
-
-
-def perfbench_models():
-    """Models of the benchmark's `wide_cycle_round(1, 0)` and
-    `deep_handles_round(1, 0)` specs."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    tasks = (workloads.wide_cycle_round(1, 0)[:1]
-             + workloads.deep_handles_round(1, 0)[:2])
-    return {task["slot"]: synthesize(validated(graph_spec_from_json(
-        task["spec"]))) for task in tasks}
-
-
-@pytest.fixture(scope="module")
-def benchmark_models():
-    return perfbench_models()
 
 
 SCREEN_CASES = [name for name, _ in NAMED_CORPUS + HANDLE_CORPUS

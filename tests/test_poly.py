@@ -1,8 +1,10 @@
 """Factored polynomials: exact expansion, evaluation, degrees, fibers."""
 
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from reebforge.numbers import DEFAULT_PRECISION_BITS, BoxArray, \
     decimal_ball, float_bounds, interval_inf, interval_precision, \
     interval_sup, turn_sin_cos
 from reebforge.poly import BoxConsts, DiskValues, FactoredPolynomial, \
-    IvConsts, SurfaceModel, _certified_height, _disk_planar_box, \
+    IvConsts, SiteCovers, SurfaceModel, _certified_height, _disk_planar_box, \
     _evaluate, _ExactConsts, _factor_is_rational, _factor_value, _Lifted, \
     _Terms, certify_ellipsoid_inside, evaluate_boxes, expand_terms, \
     staged_polynomial
@@ -450,32 +452,62 @@ def box_cover_witness(poly, site, cells=10):
 
 
 def earlier_stages(model):
-    """(P_{s-1}, ellipsoid) for every site of the model, in stage order."""
+    """(P_{s-1}, ellipsoid, its covers in the model's batch) for every site
+    of the model, in stage order."""
     heights = iter(f.height for s in model.polynomial.stages
                    for f in s.factors if f.kind == "ellipsoid")
-    pairs = []
+    triples = []
 
-    def record(poly, site, where):
+    def record(poly, site, covers, where):
         site = replace(site, height=next(heights))
-        pairs.append((poly, site))
+        triples.append((poly, site, covers))
         return site.height
 
     staged_polynomial(model.spec, model.arrangement, record)
-    return pairs
+    return triples
+
+
+def one_site(poly, site):
+    """The covers of `site` alone: a batch of one."""
+    return SiteCovers(DiskValues([site]), 0, poly)
+
+
+def per_site_first_cover(poly, site):
+    """The first cover as one site was evaluated alone before the batch:
+    its own 16-cell cover, every factor of `poly` at t = 0 on the kept
+    cells, the stage products and F."""
+    x_lo, x_hi, y_lo, y_hi = _disk_planar_box(site)
+    ex = np.linspace(float_bounds(x_lo)[0], float_bounds(x_hi)[1], 17)
+    ey = np.linspace(float_bounds(y_lo)[0], float_bounds(y_hi)[1], 17)
+    bx = BoxArray(np.repeat(ex[:-1], 16), np.repeat(ex[1:], 16))
+    by = BoxArray(np.tile(ey[:-1], 16), np.tile(ey[1:], 16))
+    disk = replace(site, kind="circle", transverse=())
+    keep = ~(_factor_value(disk, [bx, by], BoxConsts()).lo > 0)
+    xs = [BoxArray(bx.lo[keep], bx.hi[keep]),
+          BoxArray(by.lo[keep], by.hi[keep])]
+    values = [[_factor_value(replace(f, transverse=()), xs, BoxConsts())
+               for f in s.factors] for s in poly.stages]
+    products = [reduce(operator.mul, vs) for vs in values]
+    return values, products, reduce(operator.mul, products)
+
+
+BATCH_CASES = [n for n, _ in HANDLE_CORPUS] + ["deep-m9", "deep-m13"]
 
 
 class TestContainment:
     @pytest.mark.parametrize("name", [n for n, _ in HANDLE_CORPUS])
     def test_heights_pass_both_certificates(self, corpus_models, name):
-        pairs = earlier_stages(corpus_models[name])
-        assert pairs
-        for poly, site in pairs:
+        triples = earlier_stages(corpus_models[name])
+        assert triples
+        for poly, site, covers in triples:
             assert box_cover_witness(poly, site)
-            assert certify_ellipsoid_inside(DiskValues(poly, site),
+            assert certify_ellipsoid_inside(covers, site.height)
+            assert certify_ellipsoid_inside(one_site(poly, site),
                                             site.height)
-        poly, site = pairs[0]
+        poly, site, covers = triples[0]
         tall = replace(site, height=site.height * 1000)
-        assert not certify_ellipsoid_inside(DiskValues(poly, site),
+        assert not certify_ellipsoid_inside(covers, tall.height)
+        assert not certify_ellipsoid_inside(one_site(poly, site),
                                             tall.height)
         assert not box_cover_witness(poly, tall)
 
@@ -484,22 +516,21 @@ class TestContainment:
                                                       name):
         # F, the product of the stage products, and the whole polynomial
         # at t = 0 enclose the same values on every cover
-        for poly, site in earlier_stages(corpus_models[name]):
-            covers = DiskValues(poly, site)
+        for poly, site, covers in earlier_stages(corpus_models[name]):
             zeros = [BoxArray.exact(0.0)] * (poly.num_vars - 2)
-            for xs, (_, _, whole) in zip(poly_module._disk_covers(site),
-                                         covers):
+            for cells, (_, _, whole) in zip((16, 32, 64), covers):
+                xs, _ = poly_module._disk_cells([site], cells)
                 direct = evaluate_boxes(poly, xs + zeros)
                 assert np.all(whole.lo <= direct.hi)
                 assert np.all(direct.lo <= whole.hi)
 
     def test_covers_are_evaluated_once(self, corpus_models, monkeypatch):
-        poly, site = earlier_stages(corpus_models["m5 stage1"])[0]
+        poly, site, _ = earlier_stages(corpus_models["m5 stage1"])[0]
         calls = []
         real = poly_module._factor_value
         monkeypatch.setattr(poly_module, "_factor_value",
                             lambda *a: calls.append(1) or real(*a))
-        covers = DiskValues(poly, site)
+        covers = one_site(poly, site)
         first = list(covers)
         count = len(calls)
         # per cover, the disk's own cell mask and every factor
@@ -507,6 +538,41 @@ class TestContainment:
         again = list(covers)  # replayed, not evaluated again
         assert len(again) == len(first) and len(calls) == count
         assert all(a is b for a, b in zip(again, first))
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_batch_equals_the_per_site_loop(self, corpus_models,
+                                            benchmark_models, name):
+        # every double of the first cover, site by site
+        model = {**corpus_models, **benchmark_models}[name]
+        for poly, site, covers in earlier_stages(model):
+            values, products, whole = next(iter(covers))
+            want_values, want_products, want_whole = \
+                per_site_first_cover(poly, site)
+            assert [len(vs) for vs in values] == \
+                [len(vs) for vs in want_values] == \
+                [len(s.factors) for s in poly.stages]
+            got = [v for vs in values for v in vs] + products + [whole]
+            want = [v for vs in want_values for v in vs] + want_products + \
+                [want_whole]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.lo, w.lo)
+                assert np.array_equal(g.hi, w.hi)
+
+    @pytest.mark.parametrize("name", BATCH_CASES)
+    def test_load_evaluates_each_factor_once(self, corpus_models,
+                                             benchmark_models, monkeypatch,
+                                             name):
+        model = {**corpus_models, **benchmark_models}[name]
+        data = model.to_json()
+        calls = []
+        real = poly_module._factor_value
+        monkeypatch.setattr(poly_module, "_factor_value",
+                            lambda *a: calls.append(1) or real(*a))
+        SurfaceModel.from_json(data)
+        # one cell mask per site, then each factor at most once
+        assert 0 < len(calls) <= \
+            len(model.sites) + model.polynomial.factor_count()
 
     def test_negative_disk_names_its_site(self, corpus_models):
         # a site over a removed disk, where F is negative
@@ -517,7 +583,7 @@ class TestContainment:
         where = "ellipsoid at sector 9 stage 9"
         with pytest.raises(HeightFailure,
                            match="^%s: no positive lower bound" % where):
-            _certified_height(poly, site, where)
+            _certified_height(poly, site, one_site(poly, site), where)
 
 
 class TestDualGradient:
