@@ -660,7 +660,7 @@ def staged_polynomial(spec: ValidatedSpec, arr: CircleArrangement,
     batch = DiskValues([Factor(kind="ellipsoid", d=c.d,
                                turn=arr.bisector_turn(c.sector),
                                sectors=arr.k, scale=Fraction(1, 2))
-                        for c in circles])
+                        for c in circles]) if circles else None
     poly = region_polynomial(arr)
     for stage in range(spec.stages + 1):
         sites = []
