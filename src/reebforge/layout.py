@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -160,6 +160,10 @@ class CircleArrangement:
     def vertex_turn(self, j: int) -> Fraction:
         t = Fraction(j, self.k)
         return t - (t.numerator // t.denominator)
+
+    @cached_property
+    def _tangencies(self):
+        return _build_tangency_events(self)
 
     def removed_circles(self) -> list[PlacedCircle]:
         return [c for c in self.circles if c.role.kind == "removed"]
@@ -695,22 +699,34 @@ def tangency_events(arr: CircleArrangement) -> tuple[TangencyEvent, ...]:
     2*pi*j/k and 2*pi*(j+1)/k, at distance d*cos(pi/k) from the origin.
     Line mode: a circle in strip j touches the walls x = x_j and x = x_{j+1}
     at height equal to its centre's ordinate.
+
+    Events are sorted by turn, then foot, then circle index.  The list is
+    built once per arrangement and kept on it, so the sweep pass, the
+    oracle and the plot of one arrangement share it.
     """
-    events: list[TangencyEvent] = []
+    return arr._tangencies
+
+
+def _build_tangency_events(arr: CircleArrangement):
+    """The events `tangency_events` lists.  In circle mode foot_lo is
+    d*c_lo with c_lo > 0, so the (turn, d, index) order of the sort is the
+    (turn, foot, index) one."""
+    keyed = []
     if arr.mode == "circle":
         c_lo, c_hi = (cos_half_sector_bounds(arr.k) if arr.k else (0, 0))
         for idx, c in enumerate(arr.circles):
-            for boundary in (c.sector, c.sector + 1):
-                events.append(TangencyEvent(
+            foot_lo, foot_hi = c.d * c_lo, c.d * c_hi
+            for boundary in (c.sector % arr.k, (c.sector + 1) % arr.k):
+                keyed.append(((boundary, c.d, idx), TangencyEvent(
                     circle_index=idx, sector=c.sector, role=c.role,
                     turn=TurnAngle(Fraction(boundary, arr.k)),
-                    foot_lo=c.d * c_lo, foot_hi=c.d * c_hi))
+                    foot_lo=foot_lo, foot_hi=foot_hi)))
     else:
         for idx, c in enumerate(arr.circles):
             for wall in (arr.abscissae[c.sector - 1], arr.abscissae[c.sector]):
-                events.append(TangencyEvent(
+                keyed.append(((wall, idx), TangencyEvent(
                     circle_index=idx, sector=c.sector, role=c.role,
                     turn=TurnAngle(Fraction(0)),  # unused in line mode
-                    foot_lo=wall, foot_hi=wall))
-    events.sort(key=lambda e: (e.turn.turns, e.foot_lo, e.circle_index))
-    return tuple(events)
+                    foot_lo=wall, foot_hi=wall)))
+    keyed.sort(key=lambda pair: pair[0])
+    return tuple(event for _, event in keyed)

@@ -26,6 +26,7 @@ from typing import Union
 
 import numpy as np
 from mpmath import iv, mp
+from mpmath.libmp import mpi_cos_sin
 
 Rational = Union[int, Fraction]
 
@@ -67,7 +68,8 @@ def to_interval(x: Rational):
 
 def _libmp_to_fraction(t) -> Fraction:
     sign, man, exp, bc = t
-    fr = Fraction(int(man)) * (Fraction(2) ** int(exp))
+    man, exp = int(man), int(exp)
+    fr = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -fr if sign else fr
 
 
@@ -186,9 +188,12 @@ class TurnAngle:
 
 
 def turn_sin_cos(t: Fraction):
-    """Interval sin/cos of an exact fraction of a full turn."""
+    """Interval sin/cos of an exact fraction of a full turn, at the current
+    precision.  `iv.sin` and `iv.cos` each take one half of mpmath's
+    `mpi_cos_sin`; one call here gives both, with the same endpoints."""
     theta = 2 * iv.pi * to_interval(t)
-    return iv.sin(theta), iv.cos(theta)
+    cos_t, sin_t = mpi_cos_sin(theta._mpi_, iv.prec)
+    return iv.make_mpf(sin_t), iv.make_mpf(cos_t)
 
 
 # ---------------------------------------------------------------------------

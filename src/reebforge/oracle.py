@@ -34,11 +34,18 @@ The readout works on doubles of the slice and tangency positions.
 
 The membership screen windows its disk factors too.  On the zero slice a
 disk factor (circle, or ellipsoid at zero transverse coordinates) is
-v = (x - bx)^2 + (y - by)^2 - r^2.  Let M be the largest of 1, the sample
-box's half-extents and the sizes of the disk's `poly._disk_planar_box`
-ends, so it bounds sample coordinates, |bx|, |by| and r.  The window is
-the box's x-range in doubles, widened by 2^-10 M; with u = 2^-53, outside
-it |x - bx| >= r + 2^-10 M - 2uM, so v > 2^-21 M^2 > 2 * MEMBERSHIP_GUARD.
+v = (x - bx)^2 + (y - by)^2 - r^2.  Its window is built in doubles from the
+data `_factor_value` lifts through `FloatConsts`: with u = 2^-53, d' the
+double of d and c', s', s_k' the cached doubles of the bisector's cos and
+sin and of sin(pi/k), each within u of its value (its 64-bit bounds are
+far tighter), the centre is bx' = d'c', by' = d's' and the radius
+r' = d's_k' scale' (line mode: the doubles of the centre and of r).  Let M
+be the largest of 1, the sample box's half-extents and |bx'| + r',
+|by'| + r', the sizes of the box ends; it bounds sample coordinates, |bx|,
+|by|, r and d / sqrt(2) up to a relative 2^-50, so bx', by' and r' are
+within 5uM of bx, by and r.  The window is bx' -+ (r' + 2^-10 M), each end
+rounded once more, so it is within 10uM of bx -+ (r + 2^-10 M); outside it
+|x - bx| >= r + 2^-10 M - 10uM, so v > 2^-21 M^2 > 2 * MEMBERSHIP_GUARD.
 The float value's errors, from the centre (3u relative) and r^2 (5u)
 through dx, dy, their squares and two sums, add up to under 70uM^2 <
 2^-46 M^2: it stays above MEMBERSHIP_GUARD, positive and not small, and
@@ -57,6 +64,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +74,7 @@ from .graphs import canonical_cyclic_form
 from .layout import CircleArrangement, tangency_events
 from .numbers import (TurnAngle, format_rational, interval_inf,
                       interval_precision, interval_sup, to_interval)
-from .poly import FloatConsts, IvConsts, _disk_planar_box, _factor_value
+from .poly import FloatConsts, IvConsts, _factor_value
 from .sweep import ReebEdge, ReebGraphResult, ReebVertex
 
 TAU = 2.0 * math.pi
@@ -572,22 +580,54 @@ def smooth_degree_two(result: ReebGraphResult) -> ReebGraphResult:
 # sign versus membership sampling
 # ---------------------------------------------------------------------------
 
+# digits reversed per table lookup: base**digits entries, about 2k
+_CHUNK_DIGITS = {2: 11, 3: 7}
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(base: int):
+    """For every q < base**c, c = _CHUNK_DIGITS[base]: q's c digits
+    reversed, and q's digit count (0 for q = 0)."""
+    c = _CHUNK_DIGITS[base]
+    rest = np.arange(base ** c, dtype=np.int64)
+    flipped = np.zeros_like(rest)
+    length = np.zeros_like(rest)
+    for _ in range(c):
+        length += rest > 0
+        rest, digit = np.divmod(rest, base)
+        flipped = flipped * base + digit
+    return flipped, length
+
+
 def _radical_inverses(indices: np.ndarray,
                       base: int) -> tuple[np.ndarray, np.ndarray]:
     """Van der Corput radical inverses num/den of positive indices as int64
     arrays: each index's base-`base` digits reversed into num, over den =
     base**(digit count).  Indices up to 2**53 keep den inside int64; a
-    non-positive index has no digits and maps to 0/1."""
-    rest = np.asarray(indices, dtype=np.int64)
-    num = np.zeros_like(rest)
-    den = np.ones_like(rest)
-    live = rest > 0
-    while live.any():
-        rest, digit = np.divmod(rest, base)
-        num = np.where(live, num * base + digit, num)
-        den = np.where(live, den * base, den)
-        live = rest > 0
-    return num, den
+    non-positive index has no digits and maps to 0/1.
+
+    The digits go c at a time through `_digit_tables`: with the index
+    padded to m chunks, R = sum_j flip(q_j) * base**(c(m-1-j)) over its
+    chunks q_j, least significant first, is num * base**(cm - L) for an
+    index of L digits, as the padding zeros come last once reversed.  For
+    indices up to 2**53, cm <= 55 in base 2 and 35 in base 3, so R fits
+    int64."""
+    flipped, length = _digit_tables(base)
+    c, chunk = _CHUNK_DIGITS[base], len(flipped)
+    rest = np.maximum(np.asarray(indices, dtype=np.int64), 0)
+    padded = np.zeros_like(rest)
+    digits = np.zeros_like(rest)
+    top = int(rest.max(initial=0))
+    chunks = 0
+    while top:
+        top //= chunk
+        chunks += 1
+    for j in range(chunks):
+        rest, q = np.divmod(rest, chunk)
+        padded = padded * chunk + flipped[q]
+        digits = np.where(q > 0, j * c + length[q], digits)
+    powers = base ** np.arange(c * chunks + 1, dtype=np.int64)
+    return padded // powers[c * chunks - digits], powers[digits]
 
 
 def _halton_axis(indices: np.ndarray, base: int, half: Fraction):
@@ -623,10 +663,12 @@ class MembershipReport:
     Points land on the zero slice of every non-planar coordinate, where the
     polynomial equals the plain product of its factors and the region is the
     planar region minus the removed ellipsoid disks.  The sample is a
-    base-2/base-3 Halton sequence built from integer digit arrays, each
-    coordinate an exact ratio rounded once to float; exact `Fraction`
-    points are built only for suspects.  A float screen of the factor
-    values, each disk factor only in its window, flags suspects, which are
+    base-2/base-3 Halton sequence built from integer digit arrays, reversed
+    through lookup tables a chunk of digits at a time, each coordinate an
+    exact ratio rounded once to float; exact `Fraction` points are built
+    only for suspects.  A float screen of the factor values, each disk
+    factor only in its window, a range of doubles from the factor's own
+    lifted centre and radius, flags suspects, which are
     settled with `poly._factor_value` on mpmath intervals; sign(P) is the
     parity of the negative factors, so it never underflows.  A point whose
     certified margin to any factor boundary falls inside the band is
@@ -665,12 +707,20 @@ def check_membership_sample(count: int, seed: int) -> None:
 def _disk_window(f, extent: float):
     """The x-range of a disk factor's membership window (module docstring)
     with extent = max(1, the sample box's half-extents); None for a
-    boundary factor."""
+    boundary factor.  Centre and radius are doubles of the data
+    `_factor_value` lifts through `FloatConsts`."""
     if f.kind not in ("circle", "ellipsoid"):
         return None
-    box = [float(e) for e in _disk_planar_box(f)]
-    w = 2.0 ** -10 * max(extent, *map(abs, box))
-    return box[0] - w, box[1] + w
+    if f.center is not None:
+        bx, by = float(f.center[0]), float(f.center[1])
+        r = float(f.radius * f.scale)
+    else:
+        cos_t, sin_t = FloatConsts.turn_cos_sin(f.turn)
+        d = float(f.d)
+        bx, by = d * cos_t, d * sin_t
+        r = d * FloatConsts.sin_half(f.sectors) * float(f.scale)
+    w = 2.0 ** -10 * max(extent, abs(bx) + r, abs(by) + r)
+    return bx - r - w, bx + r + w
 
 
 def _membership_screen(poly, extent: float, x: np.ndarray, y: np.ndarray):

@@ -251,16 +251,21 @@ def _turn_bounds(turn: Fraction) -> tuple[tuple[Fraction, Fraction],
 
 
 class FloatConsts:
-    """Nearest-double constants; fast and uncertified."""
+    """Nearest-double constants; fast and uncertified.  The irrational
+    ones are cached, as every membership screen re-reads them."""
 
     def lift(self, fr: Fraction):
         return float(fr)
 
-    def turn_cos_sin(self, turn: Fraction):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def turn_cos_sin(turn: Fraction):
         (c_lo, c_hi), (s_lo, s_hi) = _turn_bounds(turn)
         return float((c_lo + c_hi) / 2), float((s_lo + s_hi) / 2)
 
-    def sin_half(self, k: int):
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def sin_half(k: int):
         lo, hi = sin_half_sector_bounds(k)
         return float((lo + hi) / 2)
 

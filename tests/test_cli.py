@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from reebforge import layout
 from reebforge.cli import main
 
 THETA_GRAPH = {
@@ -234,6 +235,20 @@ class TestVerify:
         assert cert["verified"] is True
         assert cert["membership"]["mismatches"] == []
         assert cert["oracle"]["resolution"] == [512, 256]
+
+    @pytest.mark.parametrize("name", ["wide", "line (1,3,2,1)"])
+    def test_one_tangency_list_per_verify(self, name, tmp_path, monkeypatch,
+                                          corpus_models, benchmark_models):
+        # the sweep pass and the oracle share the loaded arrangement's list
+        model = {**corpus_models, **benchmark_models}[name]
+        path = tmp_path / "model.json"
+        write_json(path, model.to_json())
+        built = []
+        build_events = layout._build_tangency_events
+        monkeypatch.setattr(layout, "_build_tangency_events",
+                            lambda arr: built.append(arr) or build_events(arr))
+        assert main(["verify", "--model", str(path), "--points", "2000"]) == 0
+        assert len(built) == 1
 
     def test_tampered_multiplicity(self, tmp_path, capsys):
         out = synthesized(tmp_path)

@@ -12,7 +12,8 @@ from reebforge import (CircleArrangement, GraphSpec, MarginViolation,
                        PackingFailure, build_arrangement,
                        certify_disjointness, choose_annulus_halfwidth,
                        tangency_events, validated)
-from reebforge.layout import _far_pair_bound
+from reebforge.layout import TangencyEvent, _far_pair_bound
+from reebforge.numbers import TurnAngle, cos_half_sector_bounds
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
 
@@ -138,6 +139,27 @@ class TestDisjointness:
             certify_disjointness(fat)
 
 
+def foot_sorted_events(arr):
+    """The events built one by one and sorted by (turn, foot_lo, circle
+    index): the reference for the cached list."""
+    events = []
+    for idx, c in enumerate(arr.circles):
+        if arr.mode == "circle":
+            c_lo, c_hi = cos_half_sector_bounds(arr.k)
+            for boundary in (c.sector, c.sector + 1):
+                events.append(TangencyEvent(
+                    circle_index=idx, sector=c.sector, role=c.role,
+                    turn=TurnAngle(Fraction(boundary, arr.k)),
+                    foot_lo=c.d * c_lo, foot_hi=c.d * c_hi))
+        else:
+            for wall in (arr.abscissae[c.sector - 1], arr.abscissae[c.sector]):
+                events.append(TangencyEvent(
+                    circle_index=idx, sector=c.sector, role=c.role,
+                    turn=TurnAngle(Fraction(0)), foot_lo=wall, foot_hi=wall))
+    events.sort(key=lambda e: (e.turn.turns, e.foot_lo, e.circle_index))
+    return tuple(events)
+
+
 class TestTangencyEvents:
     def test_two_per_circle(self):
         arr = build(circle_spec((3, 2, 2)))
@@ -154,6 +176,14 @@ class TestTangencyEvents:
         events = tangency_events(arr)
         keys = [e.turn.turns for e in events]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", [name for name, _ in NAMED_CORPUS
+                                      + HANDLE_CORPUS + LINE_CORPUS]
+                             + ["wide"])
+    def test_order_is_turn_foot_index(self, name, corpus_models,
+                                      benchmark_models):
+        arr = {**corpus_models, **benchmark_models}[name].arrangement
+        assert tangency_events(arr) == foot_sorted_events(arr)
 
     def test_line_events_touch_walls(self):
         arr = build(line_spec((1, 2, 1)))

@@ -216,6 +216,21 @@ def exact_radical_inverses(base, count, seed):
     return [radical_inverse(start + i + 1) for i in range(count)]
 
 
+def digit_by_digit_inverses(indices, base):
+    """num and den of the radical inverses, one numpy pass per digit: the
+    reference for the table-driven chunks."""
+    rest = np.asarray(indices, dtype=np.int64)
+    num = np.zeros_like(rest)
+    den = np.ones_like(rest)
+    live = rest > 0
+    while live.any():
+        rest, digit = np.divmod(rest, base)
+        num = np.where(live, num * base + digit, num)
+        den = np.where(live, den * base, den)
+        live = rest > 0
+    return num, den
+
+
 def exact_coordinates(half, inverses):
     return [2 * half * r - half for r in inverses]
 
@@ -236,6 +251,21 @@ class TestRadicalInverse:
     def test_values_stay_in_the_unit_interval(self):
         num, den = _radical_inverses(np.arange(1, 200), 2)
         assert np.all(0 < num) and np.all(num < den)
+
+    @pytest.mark.parametrize("indices", [
+        # the last sample `check_membership_sample` admits: count 2**20,
+        # seed 2**33 - 1, ending at index 2**53
+        np.arange((2 ** 33 - 1) * 2 ** 20 + 1, 2 ** 53 + 1, dtype=np.int64),
+        np.arange(5 * 100000 + 1, 6 * 100000 + 1, dtype=np.int64),
+        np.arange(-40, 1, dtype=np.int64),
+    ], ids=["ends-at-2to53", "seed-5", "non-positive"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_equals_the_digit_by_digit_loop(self, indices, base):
+        num, den = _radical_inverses(indices, base)
+        want_num, want_den = digit_by_digit_inverses(indices, base)
+        assert num.dtype == den.dtype == np.int64
+        assert np.array_equal(num, want_num)
+        assert np.array_equal(den, want_den)
 
 
 # the last is the (60,60,60) sample box's, a 228-bit denominator
