@@ -20,6 +20,16 @@ a product in the expansion passes a million monomials.  Every subcommand
 that loads a model (verify, plot --model, export, extend) rebuilds it from
 its spec, arrangement and ellipsoid heights, re-certifying each height, and
 exits 4 when a height or the stored file is refused.
+
+`verify --oracle-res RxA` sets the uniform part of the sampled oracle's
+grid: R log-spaced radii (ordinates in line mode) and A slices of the sweep
+parameter.  The oracle adds the radii the arrangement's disks give (one in
+every gap between disks, one on every tangency foot, one between every two
+neighbouring feet) and the ladder slices next to every tangency, so any
+grid reads the graph of an arrangement `synthesize` makes, within the
+bounds the `oracle` module docstring states.  It runs once on exactly that
+grid, raising no count behind the caller; `verify` prints it and records
+it as the certificate's oracle resolution.
 """
 
 from __future__ import annotations
@@ -276,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--model", required=True, help="model JSON file")
     v.add_argument("--out", default=None, help="directory for the certificate")
     v.add_argument("--oracle-res", default="512x256",
-                   help="sampling grid, radial x angular, each at least 1")
+                   help="uniform part of the oracle's sampling grid, "
+                        "radial x angular, each at least 1")
     v.add_argument("--points", type=int, default=20000,
                    help="membership sample size, at least 1")
     v.add_argument("--seed", type=int, default=0,

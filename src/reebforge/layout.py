@@ -51,6 +51,28 @@ j+1..j'-1 lie between them.
 So ``certify_disjointness`` computes margins only for the pairs in one
 sector or strip and in neighbouring ones, with the boundary margins, and
 certifies the far pairs by checking the lemma's one bound against epsilon.
+
+Annulus lemma.  The halfwidth a = 1 - 2**-t of ``choose_annulus_halfwidth``
+passes the margins of ``place_sector_chain`` in every sector, so
+``build_arrangement`` places each spec once.  Write R = (1+s_hi)/(1-s_hi),
+n = n_max, S = SAFETY, P = STAGGER_MAX, lam = 1 + 2**-u the
+``_gap_factor(n)``, with lam**(n+1) * P**2 <= S, and mu = 1 + (lam-1)/4.
+Then (1+a)/(1-a) > R**n * S, so F = fit_hi/fit_lo
+= (1+a)(1-s_hi) / ((1-a)(1+s_hi)) > R**(n-1) * S.  A sector of c <= n
+circles gets d_i = d_base * q**i * p (i < c), q = R*lam, phase p in [1, P],
+where d_base = sqrt(fit_lo*fit_hi) / q**((c-1)/2) * (1 + eta) and
+|eta| < 2**-63 + c * 2**-95: the midpoint of a 96-bit interval, truncated
+to 64 significant bits, so also d_base > 0.  Dividing by fit_lo and
+fit_hi, the inner margin d_1(1-s_hi) >= (1-a)*mu reads
+sqrt(F)(1+eta)p >= q**((c-1)/2)*mu and the outer one
+d_c(1+s_hi)*mu <= 1+a reads q**((c-1)/2)*p*mu*(1+eta) <= sqrt(F).  Both
+follow from F >= q**(c-1) * mu**2 * P**2 * (1+|eta|)**2, and as
+q**(c-1) <= R**(n-1) * lam**(n-1) and lam**(n+1) * P**2 <= S, from
+mu*(1+|eta|) <= lam.
+That holds because lam/mu = 1 + 3e/(1+e) >= 1 + 2e, e = (lam-1)/4, which is
+1 + 2**-(u+1) > 1 + 0.025/(n+1) by the choice of u, above 1 + |eta| for
+chains of up to 10**12 circles.  Only a halfwidth the spec pins can fail
+the margins, and that raises PackingFailure.
 """
 
 from __future__ import annotations
@@ -326,10 +348,8 @@ def place_sector_chain(sector: int, count: int, halfwidth: Fraction,
         return []
     if n_max is None:
         n_max = count
-    chain = _unphased_chain(count, halfwidth, k, n_max)
-    if chain[0] <= 0:
-        raise PackingFailure("empty admissible range in sector %d" % sector)
-    distances = [d * phase for d in chain]
+    distances = [d * phase for d in _unphased_chain(count, halfwidth, k,
+                                                     n_max)]
 
     # exact containment verification with a quarter-step relative margin
     s_hi = sin_half_sector_bounds(k)[1]
@@ -396,43 +416,26 @@ def build_arrangement(spec: ValidatedSpec) -> CircleArrangement:
     if spec.mode == "line":
         return _build_line_arrangement(spec)
     k = spec.vertices
-    if k == 0:
-        halfwidth = spec.annulus_halfwidth or Fraction(1, 2)
-        if not (0 < halfwidth < 1):
-            raise PackingFailure("annulus halfwidth must lie in (0,1)")
-        return CircleArrangement(
-            mode="circle", k=0, halfwidth=halfwidth, circles=(),
-            epsilon=_epsilon_for(halfwidth, [], 0, "circle"),
-            precision_bits=spec.precision_bits)
-
     n_max = spec.max_sector_circle_count()
     colors = _sector_colors(k)
+    # a derived halfwidth always fits (annulus lemma, module docstring)
     halfwidth = spec.annulus_halfwidth
-    chosen = halfwidth if halfwidth is not None else choose_annulus_halfwidth(k, n_max)
-    if not (0 < chosen < 1):
+    if halfwidth is None:
+        halfwidth = choose_annulus_halfwidth(k, n_max)
+    if not (0 < halfwidth < 1):
         raise PackingFailure("annulus halfwidth must lie in (0,1)")
-
-    for attempt in range(8):
-        try:
-            circles: list[PlacedCircle] = []
-            for j in range(1, k + 1):
-                roles = _radial_roles(spec, j)
-                phase = 1 + colors[j - 1] * STAGGER_STEP
-                distances = place_sector_chain(j, len(roles), chosen, k,
-                                               phase=phase, n_max=n_max)
-                for role, d in zip(roles, distances):
-                    circles.append(PlacedCircle(sector=j, role=role, d=d))
-            return CircleArrangement(
-                mode="circle", k=k, halfwidth=chosen, circles=tuple(circles),
-                epsilon=_epsilon_for(chosen, circles, k, "circle"),
-                precision_bits=spec.precision_bits)
-        except PackingFailure:
-            if halfwidth is not None:
-                raise  # a pinned halfwidth is not widened behind the caller
-            # widen: next value of the form 1 - 2**-t
-            t = (1 - chosen).denominator.bit_length()
-            chosen = 1 - Fraction(1, 1 << t)
-    raise PackingFailure("no annulus halfwidth accommodated the spec")
+    circles: list[PlacedCircle] = []
+    for j in range(1, k + 1):
+        roles = _radial_roles(spec, j)
+        phase = 1 + colors[j - 1] * STAGGER_STEP
+        distances = place_sector_chain(j, len(roles), halfwidth, k,
+                                       phase=phase, n_max=n_max)
+        for role, d in zip(roles, distances):
+            circles.append(PlacedCircle(sector=j, role=role, d=d))
+    return CircleArrangement(
+        mode="circle", k=k, halfwidth=halfwidth, circles=tuple(circles),
+        epsilon=_epsilon_for(halfwidth, circles, k, "circle"),
+        precision_bits=spec.precision_bits)
 
 
 # ---------------------------------------------------------------------------

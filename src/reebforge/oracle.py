@@ -1,20 +1,68 @@
 """Brute-force Reeb graph extraction by dense numeric sampling.
 
-Independent cross-check for the certified sweep: sample the plane on a fine
+Independent cross-check for the certified sweep: sample the plane on a
 grid, read off connected components of each level slice as index runs, link
 runs of neighbouring slices when their index ranges overlap, and recover the
 graph from the junctions of the resulting run complex.  No interval
-arithmetic and no combinatorial reasoning about the arrangement is involved,
-only pointwise float membership tests.
+arithmetic is involved and the sweep is never consulted: the samples are
+placed from the arrangement's disks alone, and membership is decided only
+by pointwise float tests.
 
-Two sampling refinements keep the brute force honest at realistic grid
-sizes.  Radial samples are log-spaced, because circle chains shrink
-geometrically toward the inner boundary and every circle occupies a constant
-log-width; uniform radii would miss all but the outermost.  Angular slices
-get a ladder of extra samples next to each tangency angle, because chord
-widths decay like the square root of the angular distance to the tangency
-and level components of neighbouring sectors can only be told apart closer
-to the vertex than a uniform grid ever samples.
+Each slice samples uniform log-spaced radii, because circle chains shrink
+geometrically toward the inner boundary, and the radii of the sample lemma
+below, which the arrangement gives.  Angular slices get a ladder of extra
+samples next to each tangency angle, because chord widths decay like the
+square root of the angular distance to the tangency.
+
+Sample lemma.  Circle mode: let a disk of sector j have centre at distance
+d on the bisector and radius d*s, s = sin(pi/k), c = cos(pi/k).  A ray of
+the closed wedge at angle D from the bisector (|D| <= pi/k) meets the open
+disk between the radii d(cos D -+ sqrt(s^2 - sin^2 D)), inside the band
+[d(1 - s), d(1 + s)].  The band's log-midpoint d*c, the foot of both
+tangencies, lies strictly between them when |D| < pi/k, since
+(cos D - c)^2 < cos^2 D - c^2 = s^2 - sin^2 D follows from c < cos D.  A
+disk of another sector lies in its own closed wedge, which meets this one at
+most in a shared ray, where the open disk misses it.  So, with the bands of
+sector j sorted between 1 - a and 1 + a, the log-midpoint of every gap lies
+in the region on every ray of the closed wedge, and every foot lies in its
+disk on every ray of the open wedge: a slice inside the wedge has exactly
+one run per channel of the sector, and two such slices overlap channel to
+channel only.  Across the shared ray of sectors j and j + 1, a channel of
+each meets the other where the intervals the feet cut out of (1 - a, 1 + a)
+overlap; the log-midpoints of consecutive entries of 1 - a, the sorted feet
+of both sectors, 1 + a, put a sample in every such overlap.  The ladder's
+slices 2^-26 turns inside each wedge give every channel a regular run
+between the slices beside its two vertices, which keeps the junctions of
+the two vertices apart (for k < 2^25).  Line mode reads the same with
+ordinates: a disk of strip j, tangent to both walls, meets a vertical line
+of the closed strip inside [y - r, y + r] and holds its centre ordinate y
+on every line of the open strip; the room of strip j is (-h, h), h the
+ellipse's half-height at the strip's outer wall.
+
+In doubles, with u = 2^-53 and every d above 2^-500 so that no square
+underflows, the test errs by under 50u(rho + d)^2 (window lemma below),
+and on a ray of the closed wedge its value at rho is at least
+the squared distance from rho to the band.  At a gap sample that is at least
+(gamma/17)^2 (rho + d)^2 (k >= 3) when the gap's ends differ by a relative
+gamma, so gamma >= 2^-19 keeps the exact answer; `build_arrangement` keeps
+every gap a relative (lambda - 1)/4 >= 2^-19 wide for chains of up to 10^4
+circles (lambda from `layout._gap_factor`).  For k <= 10^4 and
+angular_res * k <= 2^29 a slice off the vertex rays lies at least 2^-30 turns
+from each, with e = 2*pi*2^-30.  That keeps a foot inside its disk, the
+value there being -2c d^2 (cos D - c), and a disk of the neighbouring
+sector off the slice, by d^2 sin(e) sin(2*pi/k + e) where rho <= 2d: both
+exceed 2^-40 d^2 > 450u d^2.  On the ladder slices 2^-30 turns either side
+of a vertex a disk's chord stays within a relative 2^-12.8 of its foot, so
+neighbouring feet a relative 2^-11 apart leave every midpoint between them
+outside both chords.  Line mode's bounds follow the same way, with the
+ladder's 2^-26 strip widths off each wall.  A slice exactly on a vertex
+ray, which a uniform slice can hit, sees each foot either way; its runs join
+the vertex's junction cluster, or form a chain near it that the readout
+contracts.  Within these bounds no slice is empty and the run complex links
+exactly the channels the region links, at any grid: uniform samples only
+add points.  Outside them, on a gap thinner than doubles resolve for
+instance, the oracle may raise or read a wrong graph, which `verify`
+reports as a disagreement.
 
 Each removed disk is tested only on the samples of its window; outside it
 the float test cannot hold, so the mask equals testing every sample.  A
@@ -53,10 +101,10 @@ skipping the point changes no flag or negative count.
 
 The oracle only measures the region, so its graph is the sweep graph with
 every degree-two vertex smoothed away; handle attachments do not change
-plane membership.  Structural failures (a disconnected sample complex, a
-junction far from every tangency angle, a tangency angle with no junction)
-raise ResolutionTooCoarse, and the driver retries with doubled resolution a
-bounded number of times.
+plane membership.  It runs one pass on the grid it is given.  Structural
+failures (a disconnected sample complex, a junction far from every
+tangency angle, a tangency angle with no junction) raise
+ResolutionTooCoarse, with the grid in the message.
 """
 
 from __future__ import annotations
@@ -220,16 +268,61 @@ def _wedge_rows(turns: np.ndarray, lo: float, hi: float):
     return ((a, len(turns)), (0, b))
 
 
+def _radial_samples(arr: CircleArrangement, res: int) -> np.ndarray:
+    """The sorted radii (circle mode) or ordinates (line mode) every slice
+    samples: `res` uniform ones, log-spaced across the annulus or evenly
+    across the ellipse's vertical axis, and those of the sample lemma
+    (module docstring).  Each sector or strip cuts its room at the ends of
+    its disks' bands, each two neighbours cut it at the feet of both, and
+    every piece gets its midpoint, in log radius in circle mode: a sample
+    in every gap, on every foot and between every two neighbouring
+    feet."""
+    k = arr.k
+    if arr.mode == "circle":
+        lo = math.log(float(arr.inner_radius))
+        hi = math.log(float(arr.outer_radius))
+        s = math.sin(math.pi / k) if k else 0.0
+        room = [(lo, hi)] * k
+        bands = [(c.sector, math.log(float(c.d)) + math.log1p(-s),
+                  math.log(float(c.d)) + math.log1p(s))
+                 for c in arr.removed_circles()]
+    else:
+        ax, ay = map(float, arr.ellipse_axes)
+        lo, hi = -ay, ay
+        # the ellipse's half-height at a strip's outer wall
+        walls = np.abs(np.array(arr.abscissae, dtype=float)) / ax
+        tops = (ay * np.sqrt(np.maximum(0.0, 1.0 - np.maximum(
+            walls[:-1], walls[1:]) ** 2))).tolist()
+        room = [(-top, top) for top in tops]
+        bands = [(c.sector, float(c.center[1] - c.radius),
+                  float(c.center[1] + c.radius)) for c in arr.circles]
+    ends = [[] for _ in range(k + 1)]
+    for j, a, b in sorted(bands):
+        ends[j] += [a, b]
+    feet = [[(a + b) / 2 for a, b in zip(e[::2], e[1::2])] for e in ends]
+    cuts = []
+    for j in range(1, k + 1):
+        bottom, top = room[j - 1]
+        cuts.append([bottom, *ends[j], top])
+        after = j % k + 1 if arr.mode == "circle" else j + 1
+        if after <= k:
+            cuts.append([bottom, *sorted(feet[j] + feet[after]), top])
+    heights = np.sort(np.concatenate(
+        [lo + (np.arange(res) + 0.5) * (hi - lo) / res]
+        + [np.convolve(cut, (0.5, 0.5), "valid") for cut in cuts]))
+    # distinct samples only (np.unique would import numpy.ma on first use)
+    heights = heights[np.diff(heights, prepend=-np.inf) > 0]
+    return np.exp(heights) if arr.mode == "circle" else heights
+
+
 def _circle_complex(arr: CircleArrangement, radial_res: int,
                     angular_res: int, tangency_turns) -> _Complex:
     slices = _circle_slices(tangency_turns, angular_res)
     turns = np.array([float(t) for t in slices])
     theta = turns * TAU
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    lo = math.log(float(arr.inner_radius))
-    hi = math.log(float(arr.outer_radius))
-    radii = np.exp(lo + (np.arange(radial_res) + 0.5) * (hi - lo) / radial_res)
-    inside = np.ones((len(slices), radial_res), dtype=bool)
+    radii = _radial_samples(arr, radial_res)
+    inside = np.ones((len(slices), len(radii)), dtype=bool)
     s = math.sin(math.pi / arr.k) if arr.k else 0.0
     for c in arr.removed_circles():
         d = float(c.d)
@@ -244,13 +337,8 @@ def _circle_complex(arr: CircleArrangement, radial_res: int,
             x = cos_t[r0:r1, None] * radii[None, c0:c1]
             y = sin_t[r0:r1, None] * radii[None, c0:c1]
             inside[r0:r1, c0:c1] &= (x - cx) ** 2 + (y - cy) ** 2 > rr
-    runs = _slice_runs(inside)
-    for position, slice_runs in zip(slices, runs):
-        if not slice_runs:
-            raise ResolutionTooCoarse("empty slice at %s inside the annulus"
-                                      % _place(arr, position))
-    return _Complex(slice_positions=slices, slice_floats=turns, runs=runs,
-                    cyclic=True)
+    return _Complex(slice_positions=slices, slice_floats=turns,
+                    runs=_slice_runs(inside), cyclic=True)
 
 
 def _line_slices(arr: CircleArrangement, horizontal_res: int) -> list:
@@ -272,9 +360,8 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
                   horizontal_res: int) -> _Complex:
     slices = _line_slices(arr, horizontal_res)
     xs = np.array([float(t) for t in slices])
-    ax, ay = arr.ellipse_axes
-    ys = -float(ay) + (np.arange(vertical_res) + 0.5) * 2 * float(ay) / vertical_res
-    fx, fy = float(ax), float(ay)
+    ys = _radial_samples(arr, vertical_res)
+    fx, fy = map(float, arr.ellipse_axes)
     inside = ((xs[:, None] / fx) ** 2 + (ys[None, :] / fy) ** 2) < 1.0
     for c in arr.circles:
         cx, cy = float(c.center[0]), float(c.center[1])
@@ -284,18 +371,8 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
         c0, c1 = np.searchsorted(ys, (cy - reach, cy + reach))
         inside[r0:r1, c0:c1] &= ((xs[r0:r1, None] - cx) ** 2
                                  + (ys[None, c0:c1] - cy) ** 2 > r ** 2)
-    runs = _slice_runs(inside)
-    first = next((i for i, r in enumerate(runs) if r), None)
-    if first is None:
-        raise ResolutionTooCoarse("no sample landed inside the ellipse")
-    last = max(i for i, r in enumerate(runs) if r)
-    for i in range(first, last + 1):
-        if not runs[i]:
-            raise ResolutionTooCoarse("empty slice at %s inside the ellipse"
-                                      % _place(arr, slices[i]))
-    return _Complex(slice_positions=slices[first:last + 1],
-                    slice_floats=xs[first:last + 1],
-                    runs=runs[first:last + 1], cyclic=False)
+    return _Complex(slice_positions=slices, slice_floats=xs,
+                    runs=_slice_runs(inside), cyclic=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,44 +528,37 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
 # ---------------------------------------------------------------------------
 
 def brute_oracle_reeb(arr: CircleArrangement, radial_res: int = 512,
-                      angular_res: int = 256,
-                      max_refinements: int = 3) -> ReebGraphResult:
-    """Recover the region's Reeb graph from a float sample grid.
+                      angular_res: int = 256) -> ReebGraphResult:
+    """Recover the region's Reeb graph from a float sample grid, in one
+    pass.
 
-    radial_res counts samples across the region (log-spaced radii in circle
-    mode, uniform ordinates in line mode), angular_res counts the uniform
-    slices of the sweep parameter; ladder samples near tangencies come on
-    top.  Resolution doubles on structural failure, at most max_refinements
-    times, and the last ResolutionTooCoarse propagates if the budget runs
-    out.
+    Every slice samples radial_res uniform radii (log-spaced) in circle
+    mode, or ordinates in line mode, and the radii or ordinates the sample
+    lemma of the module docstring derives from the arrangement.  The
+    slices are angular_res uniform positions of the sweep parameter and
+    the ladder next to every tangency.  A junction is matched to a
+    tangency within a quarter of a sector or strip, at most 2^-9 turns
+    (units of x in line mode).  A structural failure raises
+    ResolutionTooCoarse, whose message names the grid.
     """
     if arr.mode == "circle":
         tangencies = tangency_events(arr)
-        ladder = {e.turn.turns for e in tangencies}
         events = sorted({e.turn.turns for e in tangencies
                          if e.role.kind == "removed"})
+        complex_ = _circle_complex(arr, radial_res, angular_res,
+                                   {e.turn.turns for e in tangencies})
+        width = 1.0 / max(arr.k, 1)
     else:
-        touched = set()
-        for c in arr.circles:
-            touched.add(c.center[0] - c.radius)
-            touched.add(c.center[0] + c.radius)
-        events = sorted(touched | {-arr.ellipse_axes[0],
-                                   arr.ellipse_axes[0]})
-    failure: ResolutionTooCoarse | None = None
-    for attempt in range(max_refinements + 1):
-        rres = radial_res << attempt
-        ares = angular_res << attempt
-        try:
-            if arr.mode == "circle":
-                complex_ = _circle_complex(arr, rres, ares, ladder)
-                tol = 2.0 / ares + 2.0 ** -9
-            else:
-                complex_ = _line_complex(arr, rres, ares)
-                tol = float(4 * arr.ellipse_axes[0]) / ares + 2.0 ** -9
-            return _read_graph(complex_, events, tol, arr)
-        except ResolutionTooCoarse as exc:
-            failure = exc
-    raise failure
+        ax = arr.ellipse_axes[0]
+        events = sorted({c.center[0] + side * c.radius for c in arr.circles
+                         for side in (-1, 1)} | {-ax, ax})
+        complex_ = _line_complex(arr, radial_res, angular_res)
+        width = float(2 * ax) / arr.k
+    try:
+        return _read_graph(complex_, events, min(2.0 ** -9, width / 4), arr)
+    except ResolutionTooCoarse as exc:
+        raise ResolutionTooCoarse("%s (oracle grid %dx%d)" % (
+            exc, radial_res, angular_res)) from None
 
 
 def _tagged_necklace(result: ReebGraphResult):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -42,6 +43,11 @@ def synthesized(tmp_path, **kw):
     assert code == 0
     return out
 
+
+# sectors of three channels with deep handle sequences
+THREE_CHANNELS = {"dimension": 13, "handles": [
+    {"edge": [2, 2], "sequence": [2, 1, 2, 1, 1, 2]},
+    {"edge": [3, 2], "sequence": [2, 2, 2, 1, 2, 2]}]}
 
 M5_HANDLE = {"dimension": 5, "handles": [{"edge": [1, 1],
                                           "sequence": [1, 0]}]}
@@ -249,6 +255,37 @@ class TestVerify:
                             lambda arr: built.append(arr) or build_events(arr))
         assert main(["verify", "--model", str(path), "--points", "2000"]) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize("mults,extra", [
+        ((14, 14, 14), {}),
+        ((3, 2, 3, 3), THREE_CHANNELS),
+    ], ids=["14-14-14", "three-channels"])
+    def test_deep_chains_verify_at_the_defaults(self, tmp_path, capsys,
+                                                mults, extra):
+        out = synthesized(tmp_path, mults=mults, **extra)
+        code = main(["verify", "--model", str(out / "model.json")])
+        assert code == 0
+        assert "oracle: 512x256 match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("vertices", [64, 128])
+    @pytest.mark.parametrize("grid", [None, "96x40"])
+    def test_certificate_records_the_grid_that_ran(self, tmp_path, capsys,
+                                                  vertices, grid):
+        half = vertices // 2
+        mults = random.Random(vertices).sample([2] * half + [3] * half,
+                                               vertices)
+        out = synthesized(tmp_path, mults=mults)
+        capsys.readouterr()
+        flags = [] if grid is None else ["--oracle-res", grid]
+        code = main(["verify", "--model", str(out / "model.json"), "--out",
+                     str(out), "--points", "2000"] + flags)
+        assert code == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("oracle: ")]
+        cert = json.loads((out / "certificate.json").read_text())
+        assert printed == ["oracle: %dx%d match"
+                           % tuple(cert["oracle"]["resolution"])]
+        assert printed == ["oracle: %s match" % (grid or "512x256")]
 
     def test_tampered_multiplicity(self, tmp_path, capsys):
         out = synthesized(tmp_path)

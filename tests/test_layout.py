@@ -12,7 +12,8 @@ from reebforge import (CircleArrangement, GraphSpec, MarginViolation,
                        PackingFailure, build_arrangement,
                        certify_disjointness, choose_annulus_halfwidth,
                        tangency_events, validated)
-from reebforge.layout import TangencyEvent, _far_pair_bound
+from reebforge.layout import (STAGGER_MAX, TangencyEvent, _far_pair_bound,
+                              place_sector_chain)
 from reebforge.numbers import TurnAngle, cos_half_sector_bounds
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
@@ -35,6 +36,18 @@ class TestHalfwidth:
     def test_wider_sectors_allow_wider_annulus(self):
         # fewer sectors leave more room between the bounding rays
         assert choose_annulus_halfwidth(3, 2) >= choose_annulus_halfwidth(12, 2)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 7, 12, 64, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 60])
+    def test_derived_halfwidth_passes_the_margins(self, k, n):
+        # the annulus lemma of the layout docstring: a chain of any count
+        # up to n, at either end of the stagger, fits the derived annulus
+        a = choose_annulus_halfwidth(k, n)
+        for count in sorted({1, (n + 1) // 2, n}):
+            for phase in (1, STAGGER_MAX):
+                chain = place_sector_chain(1, count, a, k, phase=phase,
+                                           n_max=n)
+                assert len(chain) == count
 
 
 class TestCircleArrangement:
@@ -83,6 +96,12 @@ class TestCircleArrangement:
         spec = circle_spec((4, 4, 4), annulus_halfwidth=Fraction(9, 10))
         with pytest.raises(PackingFailure):
             build(spec)
+
+    @pytest.mark.parametrize("spec", [torus_spec(), circle_spec((2, 2, 2))],
+                             ids=["torus", "222"])
+    def test_pinned_zero_halfwidth_fails_packing(self, spec):
+        with pytest.raises(PackingFailure, match=r"must lie in \(0,1\)"):
+            build(replace(spec, annulus_halfwidth=Fraction(0)))
 
     def test_torus_has_no_circles(self):
         arr = build(torus_spec())

@@ -14,7 +14,7 @@ from reebforge import (brute_oracle_reeb, build_arrangement, evaluate_floats,
 from reebforge import oracle
 from reebforge.errors import ResolutionTooCoarse
 from reebforge.layout import tangency_events
-from reebforge.numbers import format_rational
+from reebforge.numbers import format_rational, sin_half_sector_bounds
 from reebforge.oracle import (MEMBERSHIP_GUARD, _circle_slices, _Complex,
                               _halton_axis, _line_slices, _membership_screen,
                               _radical_inverses, _read_graph, _sample_box)
@@ -27,6 +27,9 @@ from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
 # a 64-vertex cycle, half of multiplicity 2 and half of 3, in a fixed
 # shuffled order
 WIDE_CYCLE = tuple(random.Random(64).sample([2] * 32 + [3] * 32, 64))
+# the ROADMAP ladder's cycles, in the same way
+CYCLE_128 = tuple(random.Random(128).sample([2] * 64 + [3] * 64, 128))
+CYCLE_200 = tuple(random.Random(200).sample([2] * 100 + [3] * 100, 200))
 
 
 def tampered(model, grow=3):
@@ -60,7 +63,12 @@ class TestBruteOracle:
         ((4, 4, 4), (512, 256)),
         ((6, 1, 6), (2048, 512)),
         (WIDE_CYCLE, (512, 256)),
-    ], ids=["3121", "23423", "444", "616", "wide64"])
+        ((60, 60, 60), (512, 256)),
+        ((100, 100, 100), (512, 256)),
+        (CYCLE_128, (512, 256)),
+        (CYCLE_200, (512, 256)),
+    ], ids=["3121", "23423", "444", "616", "wide64", "60-60-60",
+            "100-100-100", "cycle128", "cycle200"])
     def test_agrees_with_sweep_beyond_corpus(self, mults, resolution):
         arr = build_arrangement(validated(circle_spec(mults)))
         swept = smooth_degree_two(sweep_reeb(arr, 2))
@@ -71,6 +79,50 @@ class TestBruteOracle:
         sampled = brute_oracle_reeb(arr, 512, 256)
         assert len(sampled.vertices) == 3
         assert sorted(v.degree for v in sampled.vertices) == [3, 3, 4]
+
+
+CORPUS = NAMED_CORPUS + HANDLE_CORPUS + LINE_CORPUS
+
+
+class TestOnePass:
+    """The sample lemma of the module docstring: one pass reads the graph
+    at any grid, and a wrong arrangement reads as a different one."""
+
+    @pytest.mark.parametrize("grid", [(4, 4), (8, 8), (16, 16), (32, 32),
+                                      (64, 64), (128, 64)],
+                             ids=lambda g: "%dx%d" % g)
+    @pytest.mark.parametrize("name,spec", CORPUS,
+                             ids=[name for name, _ in CORPUS])
+    def test_coarse_grids_match(self, name, spec, grid, corpus_models):
+        model = corpus_models[name]
+        swept = smooth_degree_two(
+            sweep_reeb(model.arrangement, model.spec.dimension))
+        assert results_match(swept,
+                             brute_oracle_reeb(model.arrangement, *grid))
+
+    @pytest.mark.parametrize("name", [name for name, _ in CORPUS
+                                      if name != "k=0"])
+    def test_a_dropped_circle_disagrees(self, name, corpus_models):
+        model = corpus_models[name]
+        arr = model.arrangement
+        swept = smooth_degree_two(sweep_reeb(arr, model.spec.dimension))
+        drop = arr.circles.index(arr.removed_circles()[0])
+        wrong = dataclasses.replace(
+            arr, circles=arr.circles[:drop] + arr.circles[drop + 1:])
+        assert not results_match(swept, brute_oracle_reeb(wrong))
+
+    @pytest.mark.parametrize("mults", [(3, 1, 2, 1), (2, 2, 2),
+                                       (4, 1, 3, 1, 2)])
+    def test_a_circle_in_the_next_sector_disagrees(self, mults):
+        arr = build_arrangement(validated(circle_spec(mults)))
+        swept = smooth_degree_two(sweep_reeb(arr, 2))
+        moved = arr.removed_circles()[0]
+        at = arr.circles.index(moved)
+        wrong = dataclasses.replace(arr, circles=(
+            arr.circles[:at]
+            + (dataclasses.replace(moved, sector=moved.sector % arr.k + 1),)
+            + arr.circles[at + 1:]))
+        assert not results_match(swept, brute_oracle_reeb(wrong))
 
 
 class TestSmoothing:
@@ -403,21 +455,50 @@ class TestCircleSlices:
             turns, angular_res)
 
 
+def thin_gap(arr, sector):
+    """arr with the second removed disk of a sector or strip moved next to
+    the first, leaving a gap of a relative 2^-60: the disks stay disjoint,
+    but the gap is thinner than doubles resolve, which the sample lemma
+    excludes."""
+    circles = list(arr.circles)
+    first, second = [i for i, c in enumerate(circles)
+                     if c.sector == sector and c.role.kind == "removed"][:2]
+    near, far = circles[first], circles[second]
+    if arr.mode == "circle":
+        s_hi = sin_half_sector_bounds(arr.k)[1]
+        d = near.d * (1 + s_hi) / (1 - s_hi) * (1 + Fraction(1, 2 ** 60))
+        circles[second] = dataclasses.replace(far, d=d)
+    else:
+        y = (near.center[1] + near.radius + far.radius
+             + Fraction(1, 2 ** 60))
+        circles[second] = dataclasses.replace(far,
+                                              center=(far.center[0], y))
+    return dataclasses.replace(arr, circles=tuple(circles))
+
+
 class TestFailureNames:
+    # a uniform slice on the bisector (on the strip's middle) sees no gap
+    # between the two disks, the slices either side do
     def test_circle_junction_names_sector_and_tangency(self):
-        arr = build_arrangement(validated(circle_spec((3, 1, 2, 1))))
+        arr = thin_gap(build_arrangement(validated(circle_spec(
+            (3, 1, 2, 1)))), 1)
         with pytest.raises(ResolutionTooCoarse,
-                           match=r"junction near turn 43/128 \(sector 1\) "
+                           match=r"^junction near turn 7/24 \(sector 1\) "
                                  r"matches no tangency; the nearest is at "
-                                 r"turn 1/4 \(sector 1\)"):
-            brute_oracle_reeb(arr, 64, 64, max_refinements=0)
+                                 r"turn 1/4 \(sector 1\) "
+                                 r"\(oracle grid 64x12\)$"):
+            brute_oracle_reeb(arr, 64, 12)
 
     def test_line_tangency_names_strip_walls(self, corpus_models):
-        arr = corpus_models["line (1,3,2,1)"].arrangement
+        arr = thin_gap(corpus_models["line (1,3,2,1)"].arrangement, 2)
         with pytest.raises(ResolutionTooCoarse,
-                           match=r"at x = -1 \(strip 1, between walls "
-                                 r"x = -1 and x = -1/2\)"):
-            brute_oracle_reeb(arr, 8, 8, max_refinements=0)
+                           match=r"^junction near x = -5/12 \(strip 2, "
+                                 r"between walls x = -1/2 and x = 0\) "
+                                 r"matches no tangency; the nearest is at "
+                                 r"x = -1/2 \(strip 2, between walls "
+                                 r"x = -1/2 and x = 0\) "
+                                 r"\(oracle grid 8x12\)$"):
+            brute_oracle_reeb(arr, 8, 12)
 
     def test_detached_part_names_its_first_slice(self, corpus_models):
         arr = corpus_models["line (1,2,1)"].arrangement
@@ -462,12 +543,11 @@ def hand_built(positions, runs, cyclic):
 
 
 def full_grid_circle_mask(arr, turns, radial_res):
-    """The reference mask: every removed disk tested on every sample, as
-    the oracle did before it windowed the disks."""
+    """The reference mask: every removed disk tested on every sample of
+    the oracle's own radii, as the oracle did before it windowed the
+    disks."""
     theta = turns * (2.0 * math.pi)
-    lo = math.log(float(arr.inner_radius))
-    hi = math.log(float(arr.outer_radius))
-    radii = np.exp(lo + (np.arange(radial_res) + 0.5) * (hi - lo) / radial_res)
+    radii = oracle._radial_samples(arr, radial_res)
     x = np.cos(theta)[:, None] * radii[None, :]
     y = np.sin(theta)[:, None] * radii[None, :]
     inside = np.ones(x.shape, dtype=bool)
@@ -482,9 +562,8 @@ def full_grid_circle_mask(arr, turns, radial_res):
 
 
 def full_grid_line_mask(arr, xs, vertical_res):
-    ax, ay = arr.ellipse_axes
-    ys = -float(ay) + (np.arange(vertical_res) + 0.5) * 2 * float(ay) / vertical_res
-    fx, fy = float(ax), float(ay)
+    ys = oracle._radial_samples(arr, vertical_res)
+    fx, fy = map(float, arr.ellipse_axes)
     inside = ((xs[:, None] / fx) ** 2 + (ys[None, :] / fy) ** 2) < 1.0
     for c in arr.circles:
         cx, cy = float(c.center[0]), float(c.center[1])
