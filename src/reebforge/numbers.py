@@ -26,7 +26,9 @@ from typing import Union
 
 import numpy as np
 from mpmath import iv, mp
-from mpmath.libmp import mpi_cos_sin
+from mpmath.libmp import (from_int, mpi_cos_sin, mpi_div, mpi_mul,
+                          round_ceiling, round_floor)
+from mpmath.libmp.libmpi import mpi_pi
 
 Rational = Union[int, Fraction]
 
@@ -171,9 +173,11 @@ class TurnAngle:
     turns: Fraction
 
     def __post_init__(self):
-        t = Fraction(self.turns)
-        t -= t.numerator // t.denominator  # reduce mod 1
-        object.__setattr__(self, "turns", t)
+        t = self.turns
+        if not (isinstance(t, Fraction) and 0 <= t < 1):
+            t = Fraction(t)
+            t -= t.numerator // t.denominator  # reduce mod 1
+            object.__setattr__(self, "turns", t)
 
     def label(self) -> str:
         return "%d/%d of 2pi" % (self.turns.numerator, self.turns.denominator)
@@ -187,12 +191,28 @@ class TurnAngle:
         return TurnAngle(parse_rational(head))
 
 
-def turn_sin_cos(t: Fraction):
+def _mpi_int(n: int, prec: int):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def turn_cos_sin_mpi(t: Rational, prec: int):
+    """libmp intervals of cos and sin of 2*pi*t at `prec` bits.  Theta is
+    formed by the libmp calls `2 * iv.pi * to_interval(t)` makes, in its
+    order, so its endpoints are the same, without the operators' wrapping
+    and conversion; one `mpi_cos_sin` then gives both halves, as `iv.cos`
+    and `iv.sin` each would."""
+    turn = _mpi_int(t.numerator, prec)
+    if isinstance(t, Fraction):
+        turn = mpi_div(turn, _mpi_int(t.denominator, prec), prec)
+    theta = mpi_mul(mpi_mul(_mpi_int(2, prec), mpi_pi(prec), prec), turn,
+                    prec)
+    return mpi_cos_sin(theta, prec)
+
+
+def turn_sin_cos(t: Rational):
     """Interval sin/cos of an exact fraction of a full turn, at the current
-    precision.  `iv.sin` and `iv.cos` each take one half of mpmath's
-    `mpi_cos_sin`; one call here gives both, with the same endpoints."""
-    theta = 2 * iv.pi * to_interval(t)
-    cos_t, sin_t = mpi_cos_sin(theta._mpi_, iv.prec)
+    precision, with the endpoints of `turn_cos_sin_mpi`."""
+    cos_t, sin_t = turn_cos_sin_mpi(t, iv.prec)
     return iv.make_mpf(sin_t), iv.make_mpf(cos_t)
 
 

@@ -78,7 +78,28 @@ turn, cos or sin and product, of the centre, r^2 and the test stays below
 50 * 2^-53 * (rho + d)^2 < 6e-15 * (rho + d)^2, so for k <= 10^5 no sample
 outside the window tests inside.  In line mode the window is the disk's
 bounding box widened by m*r, outside which |P - C|^2 >= (1 + m)^2 r^2.
-The readout works on doubles of the slice and tangency positions.
+
+Slice positions are sorted integer keys over one common denominator den;
+the readout works on their doubles key / den, rounded once as
+`Fraction.__float__` rounds, and on those of the tangencies, and builds a
+Fraction only for a vertex position or a failure message.  Runs are arrays
+(row, lo, hi), sorted by row, then lo.  The runs of the next slice that
+overlap run u (hi >= lo[u] and lo <= hi[u]) form a range, as a slice's
+runs are disjoint and sorted, found by two binary searches over the keys
+row * width + sample.  A run with other than one link in and one link out
+is a junction.  Chain and loop lemma: walking back from a regular run along
+its one predecessor either meets a junction or returns to the start, since a
+run reached twice would have two predecessors.  So every regular run lies
+on a chain, the regular runs of consecutive slices from a successor of a
+junction u to a junction w, linked to nothing else, or on a closed loop of
+regular runs linked to nothing outside it.  The components of the graph of
+all links are therefore those of the junctions under their direct links and
+one link (u, w) per chain, each chain's runs in w's, and each loop on its
+own; the readout unites only those and walks a loop only to learn which
+runs share it.  Pointer doubling over each regular run's successor finds
+every chain's end and length in about log2(length) array steps.  Junctions
+linked directly form the clusters, united in link order as the runs are
+numbered, which fixes the roots and so the order of edges and vertices.
 
 The membership screen windows its disk factors too.  On the zero slice a
 disk factor (circle, or ellipsoid at zero transverse coordinates) is
@@ -159,27 +180,19 @@ class _DisjointSets:
             self.parent[ry] = rx
 
 
-def _slice_runs(inside: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Runs (lo, hi) of True per row: the changes along the rows padded
-    with False pair up as each run's first index and the one after it."""
+def _slice_runs(inside: np.ndarray):
+    """Runs of True per row as arrays (row, lo, hi), sorted by row, then
+    lo: the changes along the rows padded with False pair up as each run's
+    first index and the one after it."""
     rows, cols = np.nonzero(np.diff(inside, axis=1, prepend=False,
                                     append=False))
-    runs = list(zip(cols[0::2].tolist(), (cols[1::2] - 1).tolist()))
-    bounds = np.searchsorted(rows[0::2], np.arange(len(inside) + 1)).tolist()
-    return [runs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return rows[0::2], cols[0::2], cols[1::2] - 1
 
 
-def _overlap_pairs(runs_a: list, runs_b: list):
-    i = j = 0
-    while i < len(runs_a) and j < len(runs_b):
-        lo_a, hi_a = runs_a[i]
-        lo_b, hi_b = runs_b[j]
-        if lo_a <= hi_b and lo_b <= hi_a:
-            yield i, j
-        if hi_a < hi_b:
-            i += 1
-        else:
-            j += 1
+def _slice_doubles(keys: list, den: int) -> np.ndarray:
+    """The slice positions keys / den as doubles: int true division rounds
+    once, as `Fraction.__float__` does."""
+    return np.array([key / den for key in keys])
 
 
 def _place(arr: CircleArrangement, pos) -> str:
@@ -201,53 +214,93 @@ def _place(arr: CircleArrangement, pos) -> str:
 
 @dataclass
 class _Complex:
-    """Runs of all slices plus their adjacency, ready for graph readout."""
+    """The runs of all slices, ready for graph readout.  Slice s sits at
+    keys[s] / den, keys sorted, with the double floats[s]; run i is the
+    samples lo[i]..hi[i] of slice row[i], runs sorted by row, then lo."""
 
-    slice_positions: list            # Fractions, sorted
-    slice_floats: np.ndarray         # the same positions as doubles
-    runs: list                       # per slice, list of (lo, hi)
+    keys: list                       # ints over den, sorted
+    den: int
+    floats: np.ndarray               # `_slice_doubles(keys, den)`
+    row: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     cyclic: bool
 
+    def position(self, s: int) -> Fraction:
+        return Fraction(self.keys[s], self.den)
+
     def extract(self, arr: CircleArrangement):
-        node_of = []
-        nodes = []
-        for s, slice_runs in enumerate(self.runs):
-            ids = []
-            for r, _ in enumerate(slice_runs):
-                ids.append(len(nodes))
-                nodes.append((s, r))
-            node_of.append(ids)
-        succ = [[] for _ in nodes]
-        pred = [[] for _ in nodes]
-        dsu = _DisjointSets(len(nodes))
-        count = len(self.runs)
-        last = count if self.cyclic else count - 1
-        for s in range(last):
-            t = (s + 1) % count
-            for i, j in _overlap_pairs(self.runs[s], self.runs[t]):
-                u, v = node_of[s][i], node_of[t][j]
-                succ[u].append(v)
-                pred[v].append(u)
-                dsu.union(u, v)
-        # nodes run in slice order, so this is a detached part's first run
-        apart = [u for u in range(len(nodes)) if dsu.find(u) != dsu.find(0)]
-        if apart:
+        """The junction runs, the cluster root of each junction (-1 for
+        other runs; junctions linked directly, united in link order) and
+        the raw edges (root, root, first interior slice, interior length)
+        in link order; raises ResolutionTooCoarse unless the links connect
+        every run (chain and loop lemma, module docstring)."""
+        row, n, count = self.row, len(self.row), len(self.keys)
+        # run v of slice s + 1 overlaps run u of slice s when hi[v] >= lo[u]
+        # and lo[v] <= hi[u]: a range of v, found on keys row * width + col
+        width = int(self.hi.max(initial=0)) + 1
+        after = (row + 1) % count if self.cyclic else row + 1
+        start = np.searchsorted(row * width + self.hi,
+                                after * width + self.lo)
+        stop = np.searchsorted(row * width + self.lo,
+                               after * width + self.hi, "right")
+        out = np.maximum(stop - start, 0)
+        src = np.repeat(np.arange(n), out)
+        dst = np.arange(len(src)) + np.repeat(start + out - np.cumsum(out),
+                                              out)
+        junction = (out != 1) | (np.bincount(dst, minlength=n) != 1)
+        # pointer doubling along each regular run's one successor, until
+        # every chain entered from a junction has reached its end junction
+        jump = np.where(junction, np.arange(n), start)
+        step = (~junction).astype(np.int64)
+        enters = junction[src] & ~junction[dst]
+        heads = dst[enters]
+        while not junction[jump[heads]].all():
+            step += step[jump]
+            jump = jump[jump]
+
+        sets = _DisjointSets(n)
+        direct = junction[src] & junction[dst]
+        for u, v in zip(src[direct].tolist(), dst[direct].tolist()):
+            sets.union(u, v)
+        ends = np.flatnonzero(junction)
+        cluster = np.full(n, -1)
+        cluster[ends] = [sets.find(u) for u in ends.tolist()]
+        for u, w in zip(src[enters].tolist(), jump[heads].tolist()):
+            sets.union(u, w)
+        # a run's part is its end junction's; -1 on a closed regular loop
+        part = np.full(n, -1)
+        part[ends] = [sets.find(u) for u in ends.tolist()]
+        part = part[jump]
+        if n and part[0] < 0:
+            same = np.zeros(n, dtype=bool)
+            v = 0
+            while not same[v]:
+                same[v] = True
+                v = start[v]
+        else:
+            same = part == part[:1]
+        if not same.all():
             raise ResolutionTooCoarse(
                 "sampled region fell apart; a detached part starts at %s"
-                % _place(arr, self.slice_positions[nodes[apart[0]][0]]))
-        junction = [len(pred[i]) != 1 or len(succ[i]) != 1
-                    for i in range(len(nodes))]
-        return nodes, succ, pred, junction
+                % _place(arr, self.position(row[np.argmin(same)])))
+
+        u, v = src[junction[src]], dst[junction[src]]
+        a, b, length = cluster[u], cluster[jump[v]], step[v]
+        keep = (length > 0) | (a != b)
+        return ends, cluster, list(zip(
+            a[keep].tolist(), b[keep].tolist(), row[v][keep].tolist(),
+            length[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _circle_slices(tangency_turns, angular_res: int) -> list[Fraction]:
+def _circle_slices(tangency_turns, angular_res: int) -> tuple[list, int]:
     """The uniform turns (2i + 1)/(2 angular_res) and the ladder turns on
-    both sides of every tangency, sorted as integers over one common
-    denominator."""
+    both sides of every tangency, as sorted integer keys over one common
+    denominator den: (keys, den)."""
     den = math.lcm(2 * angular_res, *(t.denominator for t in tangency_turns))
     den <<= _LADDER_BITS[-1]
     keys = set(range(den // (2 * angular_res), den, den // angular_res))
@@ -256,7 +309,7 @@ def _circle_slices(tangency_turns, angular_res: int) -> list[Fraction]:
         for bits in _LADDER_BITS:
             step = den >> bits
             keys.update(((at + step) % den, (at - step) % den))
-    return [Fraction(key, den) for key in sorted(keys)]
+    return sorted(keys), den
 
 
 def _wedge_rows(turns: np.ndarray, lo: float, hi: float):
@@ -317,17 +370,21 @@ def _radial_samples(arr: CircleArrangement, res: int) -> np.ndarray:
 
 def _circle_complex(arr: CircleArrangement, radial_res: int,
                     angular_res: int, tangency_turns) -> _Complex:
-    slices = _circle_slices(tangency_turns, angular_res)
-    turns = np.array([float(t) for t in slices])
+    keys, den = _circle_slices(tangency_turns, angular_res)
+    turns = _slice_doubles(keys, den)
     theta = turns * TAU
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     radii = _radial_samples(arr, radial_res)
-    inside = np.ones((len(slices), len(radii)), dtype=bool)
+    inside = np.ones((len(keys), len(radii)), dtype=bool)
     s = math.sin(math.pi / arr.k) if arr.k else 0.0
+    bisectors = {}
     for c in arr.removed_circles():
+        if c.sector not in bisectors:
+            bis = TAU * float(arr.bisector_turn(c.sector))
+            bisectors[c.sector] = math.cos(bis), math.sin(bis)
         d = float(c.d)
-        bis = TAU * float(arr.bisector_turn(c.sector))
-        cx, cy = d * math.cos(bis), d * math.sin(bis)
+        cos_b, sin_b = bisectors[c.sector]
+        cx, cy = d * cos_b, d * sin_b
         rr = (d * s) ** 2
         # only the disk's window (module docstring) can test inside
         c0, c1 = np.searchsorted(radii, (d * (1 - s) / (1 + _RADIAL_PAD),
@@ -337,29 +394,35 @@ def _circle_complex(arr: CircleArrangement, radial_res: int,
             x = cos_t[r0:r1, None] * radii[None, c0:c1]
             y = sin_t[r0:r1, None] * radii[None, c0:c1]
             inside[r0:r1, c0:c1] &= (x - cx) ** 2 + (y - cy) ** 2 > rr
-    return _Complex(slice_positions=slices, slice_floats=turns,
-                    runs=_slice_runs(inside), cyclic=True)
+    return _Complex(keys, den, turns, *_slice_runs(inside), cyclic=True)
 
 
-def _line_slices(arr: CircleArrangement, horizontal_res: int) -> list:
+def _line_slices(arr: CircleArrangement,
+                 horizontal_res: int) -> tuple[list, int]:
+    """The uniform abscissae -ax + (2i + 1) ax / horizontal_res and the
+    ladder abscissae on both sides of every wall, inside (-ax, ax), as
+    sorted integer keys over one common denominator den: (keys, den)."""
     ax = arr.ellipse_axes[0]
-    spacing = 2 * ax / arr.k
-    positions = {-ax + (2 * i + 1) * ax / horizontal_res
-                 for i in range(horizontal_res)}
     walls = set(arr.abscissae)
+    den = math.lcm(horizontal_res * ax.denominator,
+                   (arr.k * ax.denominator) << _LADDER_STEPS[-1],
+                   *(wall.denominator for wall in walls))
+    reach = ax.numerator * (den // ax.denominator)
+    keys = {-reach + (2 * i + 1) * reach // horizontal_res
+            for i in range(horizontal_res)}
     for wall in walls:
+        at = wall.numerator * (den // wall.denominator)
         for p in _LADDER_STEPS:
-            step = spacing / (1 << p)
-            for cand in (wall - step, wall + step):
-                if -ax < cand < ax:
-                    positions.add(cand)
-    return sorted(positions)
+            step = 2 * reach // (arr.k << p)    # the strip spacing / 2^p
+            keys.update(cand for cand in (at - step, at + step)
+                        if -reach < cand < reach)
+    return sorted(keys), den
 
 
 def _line_complex(arr: CircleArrangement, vertical_res: int,
                   horizontal_res: int) -> _Complex:
-    slices = _line_slices(arr, horizontal_res)
-    xs = np.array([float(t) for t in slices])
+    keys, den = _line_slices(arr, horizontal_res)
+    xs = _slice_doubles(keys, den)
     ys = _radial_samples(arr, vertical_res)
     fx, fy = map(float, arr.ellipse_axes)
     inside = ((xs[:, None] / fx) ** 2 + (ys[None, :] / fy) ** 2) < 1.0
@@ -371,23 +434,22 @@ def _line_complex(arr: CircleArrangement, vertical_res: int,
         c0, c1 = np.searchsorted(ys, (cy - reach, cy + reach))
         inside[r0:r1, c0:c1] &= ((xs[r0:r1, None] - cx) ** 2
                                  + (ys[None, c0:c1] - cy) ** 2 > r ** 2)
-    return _Complex(slice_positions=slices, slice_floats=xs,
-                    runs=_slice_runs(inside), cyclic=False)
+    return _Complex(keys, den, xs, *_slice_runs(inside), cyclic=False)
 
 
 # ---------------------------------------------------------------------------
 # graph readout
 # ---------------------------------------------------------------------------
 
-def _cluster_slices(members_by_cluster, slices, cyclic):
-    """Each cluster's median slice, read across a seam it straddles."""
+def _cluster_slices(members_by_cluster, keys, den, cyclic):
+    """Each cluster's median slice, read across a seam it straddles;
+    slices are numbered in the order of their keys."""
     out = {}
-    half = Fraction(1, 2)
     for root, members in members_by_cluster.items():
-        order = sorted(members, key=slices.__getitem__)
-        if cyclic and float(slices[order[-1]] - slices[order[0]]) > 0.5:
-            order.sort(key=lambda s: slices[s] + 1 if slices[s] < half
-                       else slices[s])
+        order = sorted(members)
+        if cyclic and (keys[order[-1]] - keys[order[0]]) / den > 0.5:
+            order.sort(key=lambda s: keys[s] + den if 2 * keys[s] < den
+                       else keys[s])
         out[root] = order[len(order) // 2]
     return out
 
@@ -405,50 +467,28 @@ def _gaps(positions: np.ndarray, events: np.ndarray, cyclic: bool):
 def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
                 arr: CircleArrangement) -> ReebGraphResult:
     mode = arr.mode
-    nodes, succ, pred, junction = complex_.extract(arr)
-    slices = complex_.slice_positions
-    floats = complex_.slice_floats
+    ends, cluster, raw_edges = complex_.extract(arr)
+    keys, den = complex_.keys, complex_.den
+    floats = complex_.floats
     cyclic = complex_.cyclic
     events = np.array([float(e) for e in event_positions])
-    n = len(nodes)
 
-    if not any(junction):
+    if not len(ends):
         if mode == "line" or event_positions:
             raise ResolutionTooCoarse(
                 "no junctions found despite tangencies; the first is at %s"
                 % _place(arr, event_positions[0]))
         return ReebGraphResult(no_vertex_circle=True, vertices=(), edges=())
-
-    cluster = _DisjointSets(n)
-    for u in range(n):
-        if not junction[u]:
-            continue
-        for v in succ[u]:
-            if junction[v]:
-                cluster.union(u, v)
-
-    # chains of regular runs between junction clusters
-    raw_edges = []
-    for u in range(n):
-        if not junction[u]:
-            continue
-        for v in succ[u]:
-            if junction[v]:
-                if cluster.find(u) != cluster.find(v):
-                    raw_edges.append((cluster.find(u), cluster.find(v), []))
-                continue
-            w = v
-            interior = []
-            while not junction[w]:
-                interior.append(nodes[w][0])
-                w = succ[w][0]
-            raw_edges.append((cluster.find(u), cluster.find(w), interior))
+    if not event_positions:
+        raise ResolutionTooCoarse(
+            "junction near %s matches no tangency; there is none"
+            % _place(arr, complex_.position(complex_.row[ends[0]])))
 
     members: dict[int, list[int]] = {}
-    for u in range(n):
-        if junction[u]:
-            members.setdefault(cluster.find(u), []).append(nodes[u][0])
-    positions = _cluster_slices(members, slices, cyclic)
+    for root, s in zip(cluster[ends].tolist(),
+                       complex_.row[ends].tolist()):
+        members.setdefault(root, []).append(s)
+    positions = _cluster_slices(members, keys, den, cyclic)
 
     # a chain that never leaves one tangency's neighbourhood is a sampling
     # artifact: the same vertex seen as a merge and a split a few ladder
@@ -461,9 +501,10 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
     near, near_gap = gaps.argmin(axis=1), gaps.min(axis=1)
     merger = _DisjointSets(len(roots))
     edges = []
-    for a, b, interior in raw_edges:
+    for a, b, first, length in raw_edges:
         ea, ga = near[slot[a]], near_gap[slot[a]]
         eb, gb = near[slot[b]], near_gap[slot[b]]
+        interior = (first + np.arange(length)) % len(keys)
         hugs = (ea == eb and ga <= tolerance and gb <= tolerance
                 and bool(np.all(_gaps(floats[interior], events[[ea]], cyclic)
                                 <= tolerance)))
@@ -476,7 +517,7 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
     for root in roots:
         final_members.setdefault(merger.find(slot[root]), []).extend(
             members[root])
-    final = _cluster_slices(final_members, slices, cyclic)
+    final = _cluster_slices(final_members, keys, den, cyclic)
 
     def final_of(root):
         return merger.find(slot[root])
@@ -487,7 +528,8 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
         if gap > tolerance:
             raise ResolutionTooCoarse(
                 "junction near %s matches no tangency; the nearest is at %s"
-                % (_place(arr, slices[s]), _place(arr, event_positions[e])))
+                % (_place(arr, complex_.position(s)),
+                   _place(arr, event_positions[e])))
     near_counts = np.count_nonzero(gaps <= tolerance, axis=0).tolist()
     for e, count in zip(event_positions, near_counts):
         if not count:
@@ -509,16 +551,18 @@ def _read_graph(complex_: _Complex, event_positions: list, tolerance: float,
         ReebEdge(channel=(0, i), source=index[final_of(a)],
                  target=index[final_of(b)], fiber="S^1")
         for i, (a, b) in enumerate(edges))
+    left, right = [0] * len(order), [0] * len(order)
+    for e in reeb_edges:
+        left[e.target] += 1
+        right[e.source] += 1
     vertices = []
     for i, c in enumerate(order):
-        left = sum(1 for e in reeb_edges if e.target == i)
-        right = sum(1 for e in reeb_edges if e.source == i)
+        at = complex_.position(final[c])
         if mode == "circle":
-            vertices.append(ReebVertex(left, right,
-                                       angle=TurnAngle(slices[final[c]])))
+            vertices.append(ReebVertex(left[i], right[i],
+                                       angle=TurnAngle(at)))
         else:
-            vertices.append(ReebVertex(left, right,
-                                       abscissa=slices[final[c]]))
+            vertices.append(ReebVertex(left[i], right[i], abscissa=at))
     return ReebGraphResult(no_vertex_circle=False, vertices=tuple(vertices),
                            edges=reeb_edges, mode=mode)
 

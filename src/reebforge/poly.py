@@ -75,7 +75,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_shift, round_nearest,
+                          to_float)
 
 from .errors import ExpansionTooLarge, HeightFailure, ModelMismatch, NoFactors
 from .graphs import (
@@ -100,6 +101,7 @@ from .numbers import (
     parse_rational,
     sin_half_sector_bounds,
     to_interval,
+    turn_cos_sin_mpi,
     turn_sin_cos,
 )
 
@@ -260,8 +262,10 @@ class FloatConsts:
     @staticmethod
     @lru_cache(maxsize=None)
     def turn_cos_sin(turn: Fraction):
-        (c_lo, c_hi), (s_lo, s_hi) = _turn_bounds(turn)
-        return float((c_lo + c_hi) / 2), float((s_lo + s_hi) / 2)
+        # the exact midpoint of the BOUND_BITS endpoints, rounded once
+        return tuple(
+            to_float(mpf_shift(mpf_add(lo, hi), -1), rnd=round_nearest)
+            for lo, hi in turn_cos_sin_mpi(turn, BOUND_BITS))
 
     @staticmethod
     @lru_cache(maxsize=None)

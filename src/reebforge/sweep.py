@@ -109,8 +109,10 @@ class ReebGraphResult:
 
     def cyclic_multiplicities(self) -> tuple[int, ...]:
         """Edge count leaving each vertex toward the next, in sweep order."""
-        return tuple(sum(1 for e in self.edges if e.source == i)
-                     for i in range(len(self.vertices)))
+        counts = [0] * len(self.vertices)
+        for e in self.edges:
+            counts[e.source] += 1
+        return tuple(counts)
 
     def to_json(self) -> dict:
         vertices = []

@@ -1,12 +1,15 @@
 """Shared spec builders for the test suite."""
 
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reebforge import GraphSpec, validated
 from reebforge.graphs import graph_spec_from_json
+from reebforge.oracle import _Complex, _slice_doubles
 
 
 def circle_spec(multiplicities, dimension=2, handles=(), **kw):
@@ -19,6 +22,17 @@ def line_spec(multiplicities, dimension=2):
     return GraphSpec(mode="line", vertices=len(multiplicities) + 1,
                      multiplicities=tuple(multiplicities),
                      dimension=dimension)
+
+
+def hand_built(positions, runs, cyclic):
+    """A sample complex of slices at the sorted Fractions `positions`, with
+    the runs [(lo, hi), ...] of each slice, in order."""
+    den = math.lcm(*(p.denominator for p in positions))
+    keys = [p.numerator * (den // p.denominator) for p in positions]
+    flat = [(s, lo, hi) for s, own in enumerate(runs) for lo, hi in own]
+    row, lo, hi = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    return _Complex(keys, den, _slice_doubles(keys, den), row, lo, hi,
+                    cyclic)
 
 
 def torus_spec():

@@ -3,8 +3,11 @@
 import copy
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +489,34 @@ class TestVerify:
                      "--points", "1", "--seed", str(2 ** 53 - 1)])
         assert code == 0
         assert "membership: 1 points" in capsys.readouterr().out
+
+
+# a verify in a fresh interpreter, which reports whether it imported
+# numpy.ma (whose first import costs more than a small verify's oracle)
+COLD_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from reebforge.cli import main
+code = main(["verify", "--model", sys.argv[2]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+class TestColdVerify:
+    @pytest.mark.parametrize("kw", [
+        {"mults": random.Random(64).sample([2] * 32 + [3] * 32, 64)},
+        {"mults": (1, 3, 2, 1), "mode": "line"},
+        {"mults": (2, 2, 2), **M5_HANDLE},
+    ], ids=["cycle64", "line", "handle"])
+    def test_leaves_numpy_ma_unimported(self, tmp_path, kw):
+        out = synthesized(tmp_path, **kw)
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_VERIFY, str(src),
+             str(out / "model.json")],
+            capture_output=True, text=True, timeout=300)
+        assert done.stdout.split()[-2:] == ["0", "False"], (
+            done.stdout + done.stderr)
 
 
 class TestPlot:

@@ -15,13 +15,14 @@ from reebforge import oracle
 from reebforge.errors import ResolutionTooCoarse
 from reebforge.layout import tangency_events
 from reebforge.numbers import format_rational, sin_half_sector_bounds
-from reebforge.oracle import (MEMBERSHIP_GUARD, _circle_slices, _Complex,
-                              _halton_axis, _line_slices, _membership_screen,
-                              _radical_inverses, _read_graph, _sample_box)
+from reebforge.oracle import (MEMBERSHIP_GUARD, _circle_slices, _halton_axis,
+                              _line_slices, _membership_screen,
+                              _radical_inverses, _read_graph, _sample_box,
+                              _slice_doubles)
 from reebforge.poly import FloatConsts, _factor_value
 from reebforge.sweep import ReebEdge, ReebGraphResult, ReebVertex
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
-    line_spec
+    hand_built, line_spec
 
 
 # a 64-vertex cycle, half of multiplicity 2 and half of 3, in a fixed
@@ -451,8 +452,40 @@ class TestCircleSlices:
     def test_equals_the_sorted_fractions(self, name, spec, angular_res):
         arr = build_arrangement(validated(spec))
         turns = {e.turn.turns for e in tangency_events(arr)}
-        assert _circle_slices(turns, angular_res) == sorted_fraction_slices(
-            turns, angular_res)
+        keys, den = _circle_slices(turns, angular_res)
+        positions = [Fraction(key, den) for key in keys]
+        assert positions == sorted_fraction_slices(turns, angular_res)
+        assert _slice_doubles(keys, den).tolist() == [float(t) for t in
+                                                      positions]
+
+
+def sorted_fraction_abscissae(arr, horizontal_res):
+    """The line slices as a sorted set of Fractions, one comparison at a
+    time: the reference for the integer keys."""
+    ax = arr.ellipse_axes[0]
+    spacing = 2 * ax / arr.k
+    positions = {-ax + (2 * i + 1) * ax / horizontal_res
+                 for i in range(horizontal_res)}
+    for wall in arr.abscissae:
+        for p in (8, 14, 20, 26):
+            for cand in (wall - spacing / (1 << p), wall + spacing / (1 << p)):
+                if -ax < cand < ax:
+                    positions.add(cand)
+    return sorted(positions)
+
+
+class TestLineSlices:
+    @pytest.mark.parametrize("horizontal_res", [7, 256, 1024])
+    @pytest.mark.parametrize("name,spec", LINE_CORPUS + [
+        ("line (1,3,5,2,1)", line_spec((1, 3, 5, 2, 1)))],
+        ids=[name for name, _ in LINE_CORPUS] + ["line (1,3,5,2,1)"])
+    def test_equals_the_sorted_fractions(self, name, spec, horizontal_res):
+        arr = build_arrangement(validated(spec))
+        keys, den = _line_slices(arr, horizontal_res)
+        positions = [Fraction(key, den) for key in keys]
+        assert positions == sorted_fraction_abscissae(arr, horizontal_res)
+        assert _slice_doubles(keys, den).tolist() == [float(x) for x in
+                                                      positions]
 
 
 def thin_gap(arr, sector):
@@ -523,6 +556,15 @@ class TestFailureNames:
                                  r"part starts at turn 1/8 \(sector 0\)$"):
             _read_graph(hand_built(EIGHTHS, runs, True), THIRDS, 0.1, arr)
 
+    def test_junction_without_tangencies_names_it(self, corpus_models):
+        # a split column, read against an arrangement with no tangency
+        arr = corpus_models["(2,2,2)"].arrangement
+        runs = [[(0, 5)], [(0, 1), (3, 5)], [(0, 5)], [(0, 5)]]
+        with pytest.raises(ResolutionTooCoarse,
+                           match=r"^junction near turn 1/8 \(sector 0\) "
+                                 r"matches no tangency; there is none$"):
+            _read_graph(hand_built(EIGHTHS, runs, True), [], 0.1, arr)
+
     def test_missing_junctions_name_the_first_tangency(self, corpus_models):
         arr = corpus_models["(2,2,2)"].arrangement
         with pytest.raises(ResolutionTooCoarse,
@@ -534,12 +576,6 @@ class TestFailureNames:
 
 EIGHTHS = [Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)]
 THIRDS = [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
-
-
-def hand_built(positions, runs, cyclic):
-    return _Complex(slice_positions=positions,
-                    slice_floats=np.array([float(t) for t in positions]),
-                    runs=runs, cyclic=cyclic)
 
 
 def full_grid_circle_mask(arr, turns, radial_res):
@@ -585,11 +621,11 @@ def oracle_mask(monkeypatch, arr, radial, angular):
     if arr.mode == "circle":
         turns = {e.turn.turns for e in tangency_events(arr)}
         oracle._circle_complex(arr, radial, angular, turns)
-        rows = _circle_slices(turns, angular)
+        keys, den = _circle_slices(turns, angular)
     else:
         oracle._line_complex(arr, radial, angular)
-        rows = _line_slices(arr, angular)
-    return masks[0], np.array([float(t) for t in rows])
+        keys, den = _line_slices(arr, angular)
+    return masks[0], np.array([float(Fraction(key, den)) for key in keys])
 
 
 def full_grid_mask(arr, rows, radial):
