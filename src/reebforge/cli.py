@@ -13,8 +13,9 @@ takes --points of at least 1 and --seed of at least 0 with
 1; `export` takes --precision-bits of at least 16, the floor of a spec's
 precision_bits and of REEBFORGE_PRECISION; anything else exits 2 before
 the model is loaded.  Malformed arrangement data also exits 2: a circle
-whose sector lies outside 1..k, precision_bits below 16, or a circle
-arrangement with circles and k < 3.  `export` prints an interval
+whose sector lies outside 1..k, precision_bits below 16, a circle
+arrangement with circles and k < 3, or, for `plot`, a circle too large to
+draw in doubles.  `export` prints an interval
 coefficient with only the digits its radius proves, and exits 4 as soon as
 a product in the expansion passes a million monomials.  Every subcommand
 that loads a model (verify, plot --model, export, extend) rebuilds it from
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
             ResolutionTooCoarse, ModelMismatch) as exc:
         print("certification failed: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, OverflowError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
 

@@ -14,8 +14,13 @@ tangency foot, so sectors carry a small multiplicative phase 1 + c*delta
 with c a proper 3-colouring of the sector cycle.
 
 All chosen parameters are exact rationals.  Predicates that involve
-sin(pi/k) are decided against certified dyadic bounds; final clearances are
-re-certified in ``certify_disjointness``.
+sin(pi/k) are decided against certified dyadic bounds, and
+``certify_disjointness`` certifies the final clearances of a circle
+arrangement in one outward-rounded float64 pass that is free of scale:
+each margin runs on its operands times a power of two that brings the
+largest near 1, exact for normal doubles, so no distance, however large or
+small, overflows a double or loses the margin's relative accuracy to
+underflow (the argument is in its docstring).
 
 Line mode: the region is bounded by an axis-aligned ellipse, vertices sit at
 equally spaced abscissae, and circles are tangent to the two vertical lines
@@ -100,11 +105,10 @@ from .numbers import (
     interval_inf,
     interval_mid,
     interval_precision,
-    interval_sup,
     parse_rational,
     sin_half_sector_bounds,
     to_interval,
-    turn_sin_cos,
+    turn_bounds,
 )
 
 SAFETY = Fraction(5, 4)
@@ -398,7 +402,7 @@ def _epsilon_for(halfwidth: Fraction, circles: list[PlacedCircle],
                  k: int, mode: str) -> Fraction:
     scale = 2 * halfwidth
     if mode == "line":
-        scale = 2  # ellipse x-diameter
+        scale = Fraction(2)  # ellipse x-diameter
     diameters = []
     for c in circles:
         if c.radius is not None:
@@ -505,7 +509,6 @@ class DisjointnessReport:
     lemma_pairs: int
 
 
-
 def certify_disjointness(arr: CircleArrangement) -> DisjointnessReport:
     """Certified clearances between all placed disks and the region boundary.
 
@@ -513,13 +516,29 @@ def certify_disjointness(arr: CircleArrangement) -> DisjointnessReport:
     in circle mode, get a numeric margin, as do the disks against the
     boundary; every other pair is certified at once by the far-pair lemma
     of the module docstring, whose bound is checked against epsilon.
-    Circle mode runs a vectorized outward-rounded float64 pass over its
-    margins, then re-certifies any entry whose float bound comes within a
-    small factor of epsilon with high-precision intervals; line mode
-    encloses each pair margin with intervals.  ``min_margin`` is the least
-    numeric margin, or the lemma's bound when that is smaller.  Raises
-    MarginViolation when a certified lower bound fails to exceed the
-    arrangement's epsilon.
+
+    Circle mode runs one vectorized outward-rounded float64 pass over its
+    margins.  Each entry (a disk against the inner or the outer boundary,
+    or a near pair) reads e, the binary exponent of the larger of its two
+    operands (d_i, d_j, 1 - a or 1 + a), exactly from the bit lengths of
+    their Fractions, runs the ``BoxArray`` formulas on the operands times
+    2**-e, and multiplies its lower bound back by 2**e exactly.  The
+    scaling is sound because:
+
+    * multiplying by a power of two is exact for normal doubles and
+      commutes with their rounding, so where the unscaled pass stays
+      normal the bounds are its very bits;
+    * subnormal arithmetic is rounded correctly too, so where a scaled
+      square or product falls into the subnormal range, ``BoxArray``'s
+      one-ulp widening still encloses the true value;
+    * an operand more than TINY_BINADES binades below the entry's largest
+      is less than 2**-TINY_BINADES after scaling, so [0, 2**-TINY_BINADES]
+      (or its negative) encloses it.
+
+    Line mode encloses each pair margin with intervals.  ``min_margin`` is
+    the least numeric margin, or the lemma's bound when that is smaller.
+    Raises MarginViolation naming the first entry whose certified lower
+    bound fails to exceed the arrangement's epsilon.
     """
     if not arr.circles:
         return DisjointnessReport((), Fraction(1), arr.epsilon, 0)
@@ -587,18 +606,62 @@ def _far_pair_bound(arr: CircleArrangement) -> Fraction:
     return width + 2 * slack
 
 
-def _circle_mode_margins(arr: CircleArrangement, first, second):
-    n = len(arr.circles)
-    d_lo, d_hi = np.array([float_bounds(c.d) for c in arr.circles]).T
-    s_lo_f, _ = float_bounds(sin_half_sector_bounds(arr.k)[0])
-    _, s_hi_f = float_bounds(sin_half_sector_bounds(arr.k)[1])
-    s_box = BoxArray(np.float64(s_lo_f), np.float64(s_hi_f))
-    lo_box = BoxArray(*map(np.float64, float_bounds(arr.inner_radius)))
-    hi_box = BoxArray(*map(np.float64, float_bounds(arr.outer_radius)))
-    d_box = BoxArray(d_lo, d_hi)
+# operands of an entry more than this many binades below its largest one
+# are enclosed in [0, 2**-TINY_BINADES] (or its negative)
+TINY_BINADES = 1000
 
-    inner = d_box * (BoxArray.exact(1.0) - s_box) - lo_box
-    outer = hi_box - d_box * (BoxArray.exact(1.0) + s_box)
+
+def _binary_split(values):
+    """Exponents e and the float64 bounds of the mantissas x * 2**-e of
+    exact rationals x, with 2**(e-1) < |x| < 2**(e+1) when x != 0.  Python's
+    integer division rounds a mantissa a/b to its nearest double m; m is
+    both bounds when it equals a/b, that is when its own ratio n/d has
+    n*b == a*d, and is nudged one ulp down and up otherwise."""
+    exps, mids, exact = [], [], []
+    for x in values:
+        p, q = x.numerator, x.denominator
+        e = p.bit_length() - q.bit_length()
+        a, b = (p, q << e) if e >= 0 else (p << -e, q)
+        m = a / b
+        n, d = m.as_integer_ratio()
+        exps.append(e)
+        mids.append(m)
+        exact.append(n * b == a * d)
+    mids, exact = np.array(mids), np.array(exact)
+    return (np.array(exps), np.where(exact, mids, np.nextafter(mids, -np.inf)),
+            np.where(exact, mids, np.nextafter(mids, np.inf)))
+
+
+def _scaled(exps, lo, hi, top) -> BoxArray:
+    """The operands (exps, lo, hi) of `_binary_split` times 2**-top, for
+    top >= exps: exact down to TINY_BINADES binades below top, enclosed
+    in [0, 2**-TINY_BINADES] or its negative further down."""
+    shift = exps - top
+    far = shift < -TINY_BINADES
+    shift = np.where(far, 0, shift)
+    tiny = 2.0 ** -TINY_BINADES
+    return BoxArray(np.where(far, np.where(lo < 0, -tiny, 0.0),
+                             np.ldexp(lo, shift)),
+                    np.where(far, np.where(hi > 0, tiny, 0.0),
+                             np.ldexp(hi, shift)))
+
+
+def _circle_mode_margins(arr: CircleArrangement, first, second):
+    e_d, d_lo, d_hi = _binary_split([c.d for c in arr.circles])
+    (e_in, e_out), r_lo, r_hi = _binary_split([arr.inner_radius,
+                                               arr.outer_radius])
+    s_lo, s_hi = sin_half_sector_bounds(arr.k)
+    s_box = BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1])
+
+    # each entry runs on its operands over 2**top, top the exponent of the
+    # largest, and its lower bound is scaled back exactly at the end
+    top_in = np.maximum(e_d, e_in)
+    top_out = np.maximum(e_d, e_out)
+    inner = (_scaled(e_d, d_lo, d_hi, top_in) * (BoxArray.exact(1.0) - s_box)
+             - _scaled(e_in, r_lo[0], r_hi[0], top_in))
+    outer = (_scaled(e_out, r_lo[1], r_hi[1], top_out)
+             - _scaled(e_d, d_lo, d_hi, top_out)
+             * (BoxArray.exact(1.0) + s_box))
 
     # two bisectors differ by (sector_i - sector_j) mod k sectors, which is
     # 0, 1 or k - 1 for a near pair, so cos of a pair's angle is enclosed
@@ -607,58 +670,36 @@ def _circle_mode_margins(arr: CircleArrangement, first, second):
     offsets = (sectors[first] - sectors[second]) % arr.k
     table_lo = np.ones(arr.k)
     table_hi = np.ones(arr.k)
-    with interval_precision(BOUND_BITS):
-        for o in set(offsets.tolist()):
-            _, cos_iv = turn_sin_cos(Fraction(o, arr.k))
-            table_lo[o] = float_bounds(interval_inf(cos_iv))[0]
-            table_hi[o] = float_bounds(interval_sup(cos_iv))[1]
+    for o in set(offsets.tolist()):
+        (c_lo, c_hi), _ = turn_bounds(Fraction(o, arr.k))
+        table_lo[o] = float_bounds(c_lo)[0]
+        table_hi[o] = float_bounds(c_hi)[1]
     cos_box = BoxArray(table_lo[offsets], table_hi[offsets])
 
-    di = BoxArray(d_lo[first], d_hi[first])
-    dj = BoxArray(d_lo[second], d_hi[second])
+    top_pair = np.maximum(e_d[first], e_d[second])
+    di = _scaled(e_d[first], d_lo[first], d_hi[first], top_pair)
+    dj = _scaled(e_d[second], d_lo[second], d_hi[second], top_pair)
     dist2 = di.square() + dj.square() - BoxArray.exact(2.0) * di * dj * cos_box
     dist = dist2.sqrt()
     pair = dist - (di + dj) * s_box
 
-    eps_hi = float_bounds(arr.epsilon)[1]
-    suspect_cut = eps_hi * 8
-
-    labels = [kind % i for i in range(n) for kind in ("inner:%d", "outer:%d")]
+    labels = [kind % i for i in range(len(arr.circles))
+              for kind in ("inner:%d", "outer:%d")]
     labels += ["pair:%d:%d" % ij
                for ij in zip(first.tolist(), second.tolist())]
     lows = np.concatenate((np.stack((inner.lo, outer.lo), axis=1).ravel(),
                            pair.lo))
-    fast = (np.isfinite(lows) & (lows > suspect_cut)).tolist()
-    entries = [(label, Fraction(lo)) for label, lo, ok
-               in zip(labels, lows.tolist(), fast) if ok]
-    slow = [label for label, ok in zip(labels, fast) if not ok]
-
-    if slow:
-        with interval_precision(arr.precision_bits):
-            for label in slow:
-                entries.append((label, _slow_circle_margin(arr, label)))
+    tops = np.concatenate((np.stack((top_in, top_out), axis=1).ravel(),
+                           top_pair))
+    # lows * 2**tops is exact in doubles while it stays normal
+    exps = np.frexp(lows)[1] + tops
+    normal = (exps >= -1021) & (exps <= 1024)
+    values = np.ldexp(lows, np.where(normal, tops, 0)).tolist()
+    entries = [(label, Fraction(v)) for label, v in zip(labels, values)]
+    for p in np.flatnonzero(~normal).tolist():
+        entries[p] = (labels[p],
+                      Fraction(values[p]) * Fraction(2) ** int(tops[p]))
     return entries
-
-
-def _slow_circle_margin(arr: CircleArrangement, label: str) -> Fraction:
-    s = iv.sin(iv.pi / arr.k)
-    kind, rest = label.split(":", 1)
-    if kind == "inner":
-        c = arr.circles[int(rest)]
-        return interval_inf(to_interval(c.d) * (1 - s) - to_interval(arr.inner_radius))
-    if kind == "outer":
-        c = arr.circles[int(rest)]
-        return interval_inf(to_interval(arr.outer_radius) - to_interval(c.d) * (1 + s))
-    i, j = (int(p) for p in rest.split(":"))
-    ci, cj = arr.circles[i], arr.circles[j]
-    di, dj = to_interval(ci.d), to_interval(cj.d)
-    if ci.sector == cj.sector:
-        dist = to_interval(abs(ci.d - cj.d))
-    else:
-        dt = arr.bisector_turn(ci.sector) - arr.bisector_turn(cj.sector)
-        _, cos_dt = turn_sin_cos(dt)
-        dist = iv.sqrt(di ** 2 + dj ** 2 - 2 * di * dj * cos_dt)
-    return interval_inf(dist - (di + dj) * s)
 
 
 def _line_mode_margins(arr: CircleArrangement, first, second):

@@ -5,12 +5,16 @@ Three layers, cheapest first:
 * plain ``Fraction`` arithmetic for every constructed parameter (distances,
   radii ratios, annulus bounds, angles as fractions of a full turn);
 * scalar interval arithmetic at a configurable bit precision (mpmath's
-  ``iv`` context) for one-off certified predicates, and for gradients as
-  dual numbers over it;
+  ``iv`` context) for one-off certified predicates: the bounds of sin and
+  cos at a fraction of a turn, the placement of a sector chain, the margins
+  of line-mode disk pairs, the factor signs at a suspect membership point
+  and interval expansion coefficients; and for gradients as dual numbers
+  over it;
 * vectorised float64 intervals with outward rounding (``BoxArray``) for bulk
-  certification work: the disjointness margins of the circle pairs in one
-  sector or in neighbouring ones, with the boundary margins, and the factor
-  values over each ellipsoid's disk cover.
+  certification work: every circle-mode disjointness margin (the pairs in
+  one sector or in neighbouring ones and the boundary margins, each run on
+  operands scaled by a power of two) and the factor values over each
+  ellipsoid's disk cover.
 
 Nothing in here knows about circles or polynomials.
 """
@@ -87,14 +91,6 @@ def interval_sup(x) -> Fraction:
 
 def interval_mid(x) -> Fraction:
     return (interval_inf(x) + interval_sup(x)) / 2
-
-
-def certainly_positive(x) -> bool:
-    return interval_inf(x) > 0
-
-
-def certainly_negative(x) -> bool:
-    return interval_sup(x) < 0
 
 
 def dyadic_floor(x: Fraction, bits: int) -> Fraction:
@@ -214,6 +210,16 @@ def turn_sin_cos(t: Rational):
     precision, with the endpoints of `turn_cos_sin_mpi`."""
     cos_t, sin_t = turn_cos_sin_mpi(t, iv.prec)
     return iv.make_mpf(sin_t), iv.make_mpf(cos_t)
+
+
+@lru_cache(maxsize=None)
+def turn_bounds(turn: Fraction) -> tuple[tuple[Fraction, Fraction],
+                                         tuple[Fraction, Fraction]]:
+    """Certified (cos, sin) bounds of 2*pi*turn at the base bound precision."""
+    with interval_precision(BOUND_BITS):
+        sin_t, cos_t = turn_sin_cos(turn)
+        return ((interval_inf(cos_t), interval_sup(cos_t)),
+                (interval_inf(sin_t), interval_sup(sin_t)))
 
 
 # ---------------------------------------------------------------------------

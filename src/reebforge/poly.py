@@ -101,6 +101,7 @@ from .numbers import (
     parse_rational,
     sin_half_sector_bounds,
     to_interval,
+    turn_bounds,
     turn_cos_sin_mpi,
     turn_sin_cos,
 )
@@ -242,16 +243,6 @@ def degree(poly: FactoredPolynomial) -> int:
 # constant pools
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _turn_bounds(turn: Fraction) -> tuple[tuple[Fraction, Fraction],
-                                          tuple[Fraction, Fraction]]:
-    """Certified (cos, sin) bounds of 2*pi*turn at the base bound precision."""
-    with interval_precision(BOUND_BITS):
-        sin_t, cos_t = turn_sin_cos(turn)
-        return ((interval_inf(cos_t), interval_sup(cos_t)),
-                (interval_inf(sin_t), interval_sup(sin_t)))
-
-
 class FloatConsts:
     """Nearest-double constants; fast and uncertified.  The irrational
     ones are cached, as every membership screen re-reads them."""
@@ -284,7 +275,7 @@ class BoxConsts:
     @staticmethod
     @lru_cache(maxsize=None)
     def turn_cos_sin(turn: Fraction):
-        (c_lo, c_hi), (s_lo, s_hi) = _turn_bounds(turn)
+        (c_lo, c_hi), (s_lo, s_hi) = turn_bounds(turn)
         return (BoxArray(float_bounds(c_lo)[0], float_bounds(c_hi)[1]),
                 BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1]))
 
@@ -476,7 +467,7 @@ def _disk_planar_box(disk: Factor) -> tuple[Fraction, Fraction, Fraction, Fracti
         r = disk.radius * disk.scale
         return (disk.center[0] - r, disk.center[0] + r,
                 disk.center[1] - r, disk.center[1] + r)
-    (c_lo, c_hi), (s_lo, s_hi) = _turn_bounds(disk.turn)
+    (c_lo, c_hi), (s_lo, s_hi) = turn_bounds(disk.turn)
     r_hi = disk.d * sin_half_sector_bounds(disk.sectors)[1] * disk.scale
     bx_lo, bx_hi = disk.d * c_lo, disk.d * c_hi
     by_lo, by_hi = disk.d * s_lo, disk.d * s_hi

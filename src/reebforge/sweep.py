@@ -65,7 +65,6 @@ from .layout import (CircleArrangement, PlacedCircle, TangencyEvent,
 from .numbers import (
     TurnAngle,
     format_rational,
-    parse_rational,
     sin_half_sector_bounds,
 )
 from .poly import fiber_word
@@ -132,29 +131,6 @@ class ReebGraphResult:
                 for e in self.edges
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "ReebGraphResult":
-        edges = tuple(
-            ReebEdge(channel=(int(e["channel"][0]), int(e["channel"][1])),
-                     source=int(e["from"]), target=int(e["to"]),
-                     fiber=e["fiber"])
-            for e in data["edges"]
-        )
-        vertices = []
-        mode = "circle"
-        for i, item in enumerate(data["vertices"]):
-            left = sum(1 for e in edges if e.target == i)
-            right = sum(1 for e in edges if e.source == i)
-            if "angle" in item:
-                vertices.append(ReebVertex(left, right,
-                                           angle=TurnAngle.parse(item["angle"])))
-            else:
-                mode = "line"
-                vertices.append(ReebVertex(
-                    left, right, abscissa=parse_rational(item["abscissa"])))
-        return ReebGraphResult(bool(data["no_vertex_circle"]),
-                               tuple(vertices), edges, mode)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from reebforge import (brute_oracle_reeb, build_arrangement,
                        results_match, smooth_degree_two, sweep_reeb,
                        synthesize, validated, verify_morse)
 from reebforge.cli import main
-from reebforge.numbers import certainly_negative, certainly_positive
+from reebforge.numbers import interval_inf, interval_sup
 from reebforge.poly import eval_and_gradient, fiber_word
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     torus_spec
@@ -164,9 +164,9 @@ def test_criterion_06_regularity(corpus_models):
                 break
             value, grad = eval_and_gradient(model.polynomial, point,
                                             precision_bits=192)
-            assert not certainly_positive(value)
-            assert not certainly_negative(value)
-            assert any(certainly_positive(g) or certainly_negative(g)
+            # the value's enclosure holds 0, one partial's excludes it
+            assert interval_inf(value) <= 0 <= interval_sup(value)
+            assert any(interval_inf(g) > 0 or interval_sup(g) < 0
                        for g in grad)
             checked += 1
     assert checked == 1000

@@ -182,6 +182,13 @@ class TestSynthesize:
         model = json.loads((out / "model.json").read_text())
         assert model["spec"]["mode"] == "line"
 
+    def test_one_strip_path(self, tmp_path, capsys):
+        # no circles: epsilon comes from the ellipse alone
+        out = synthesized(tmp_path, mults=(1,), mode="line")
+        assert main(["verify", "--model", str(out / "model.json"),
+                     "--points", "2000"]) == 0
+        assert "verified: ok" in capsys.readouterr().out
+
     def test_invalid_spec_is_exit_two(self, tmp_path, capsys):
         spec = spec_file(tmp_path, mults=(1, 2, 1))
         code = main(["synthesize", "--spec", str(spec), "--out",
@@ -289,6 +296,30 @@ class TestVerify:
         assert printed == ["oracle: %dx%d match"
                            % tuple(cert["oracle"]["resolution"])]
         assert printed == ["oracle: %s match" % (grid or "512x256")]
+
+    def test_distance_past_the_double_range(self, tmp_path, capsys):
+        # the largest removed circle moved to d = 2**2000, in the
+        # arrangement and in the polynomial, so the file loads
+        out = synthesized(tmp_path, mults=(3, 2, 2))
+        path = out / "model.json"
+        data = json.loads(path.read_text())
+        circles = data["arrangement"]["circles"]
+        i = max(range(len(circles)), key=lambda i: Fraction(circles[i]["d"]))
+        old, new = circles[i]["d"], "%d/1" % (1 << 2000)
+        circles[i]["d"] = new
+        for stage in data["polynomial"]["stages"]:
+            for factor in stage["factors"]:
+                if factor.get("d") == old:
+                    factor["d"] = new
+        write_json(path, data)
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--points", "2000"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("certification failed: clearance -")
+        assert err.rstrip().endswith("for outer:%d" % i)
+        assert main(["plot", "--model", str(path),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
     def test_tampered_multiplicity(self, tmp_path, capsys):
         out = synthesized(tmp_path)

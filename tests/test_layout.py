@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
@@ -12,9 +13,14 @@ from reebforge import (CircleArrangement, GraphSpec, MarginViolation,
                        PackingFailure, build_arrangement,
                        certify_disjointness, choose_annulus_halfwidth,
                        tangency_events, validated)
-from reebforge.layout import (STAGGER_MAX, TangencyEvent, _far_pair_bound,
-                              place_sector_chain)
-from reebforge.numbers import TurnAngle, cos_half_sector_bounds
+from reebforge.layout import (STAGGER_MAX, CircleRole, PlacedCircle,
+                              TangencyEvent, _binary_split, _far_pair_bound,
+                              _near_pairs, place_sector_chain)
+from reebforge.numbers import (BOUND_BITS, BoxArray, TurnAngle,
+                               cos_half_sector_bounds, float_bounds,
+                               interval_inf, interval_precision,
+                               interval_sup, sin_half_sector_bounds,
+                               turn_sin_cos)
 from conftest import HANDLE_CORPUS, LINE_CORPUS, NAMED_CORPUS, circle_spec, \
     line_spec, torus_spec
 
@@ -301,6 +307,41 @@ def as_mpf(q):
         return mp.mpf(q.numerator) / q.denominator
 
 
+def unscaled_margins(arr):
+    """Every circle-mode entry (label, lower bound) of the float64 pass on
+    the unscaled doubles of the distances and radii, as the certificate
+    computed it before its operands were scaled by powers of two."""
+    first, second = _near_pairs(arr)
+    d_lo, d_hi = np.array([float_bounds(c.d) for c in arr.circles]).T
+    s_lo, s_hi = sin_half_sector_bounds(arr.k)
+    s_box = BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1])
+    d_box = BoxArray(d_lo, d_hi)
+    inner = (d_box * (BoxArray.exact(1.0) - s_box)
+             - BoxArray(*float_bounds(arr.inner_radius)))
+    outer = (BoxArray(*float_bounds(arr.outer_radius))
+             - d_box * (BoxArray.exact(1.0) + s_box))
+    sectors = np.array([c.sector for c in arr.circles])
+    offsets = (sectors[first] - sectors[second]) % arr.k
+    table_lo, table_hi = np.ones(arr.k), np.ones(arr.k)
+    with interval_precision(BOUND_BITS):
+        for o in set(offsets.tolist()):
+            _, cos_iv = turn_sin_cos(Fraction(o, arr.k))
+            table_lo[o] = float_bounds(interval_inf(cos_iv))[0]
+            table_hi[o] = float_bounds(interval_sup(cos_iv))[1]
+    cos_box = BoxArray(table_lo[offsets], table_hi[offsets])
+    di = BoxArray(d_lo[first], d_hi[first])
+    dj = BoxArray(d_lo[second], d_hi[second])
+    dist2 = di.square() + dj.square() - BoxArray.exact(2.0) * di * dj * cos_box
+    pair = dist2.sqrt() - (di + dj) * s_box
+    labels = [kind % i for i in range(len(arr.circles))
+              for kind in ("inner:%d", "outer:%d")]
+    labels += ["pair:%d:%d" % ij
+               for ij in zip(first.tolist(), second.tolist())]
+    lows = np.concatenate((np.stack((inner.lo, outer.lo), axis=1).ravel(),
+                           pair.lo))
+    return [(label, Fraction(lo)) for label, lo in zip(labels, lows.tolist())]
+
+
 @st.composite
 def far_sector_specs(draw):
     k = draw(st.integers(4, 12))
@@ -324,6 +365,8 @@ class TestPairSplit:
                 if sectors_apart(arr, i, j) <= 1}
         assert {label for label, _ in report.entries
                 if label.startswith("pair:")} == near
+        if arr.mode == "circle":
+            assert list(report.entries) == unscaled_margins(arr)
         least, least_far = reference_margins(arr)
         got = as_mpf(report.min_margin)
         # a certified lower bound, within float enclosure width of the truth
@@ -388,3 +431,79 @@ class TestPairSplit:
         bound = _far_pair_bound(arr)
         assert report.min_margin == bound
         assert bound < min(m for _, m in report.entries)
+
+
+class TestScaledPass:
+    """The circle-mode pass on operands scaled by powers of two."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(1 << 3000), 1 << 3000),
+           st.integers(1, 1 << 3000) | st.sampled_from([1 << 2000, 3]))
+    def test_split_bounds_the_mantissa(self, p, q):
+        x = Fraction(p, q)
+        (e,), (lo,), (hi,) = _binary_split([x])
+        m = x / Fraction(2) ** int(e)
+        assert (lo, hi) == float_bounds(m)
+        assert x == 0 or Fraction(1, 2) < abs(m) < 2
+
+    # line mode keeps its interval loop, so only circle corpora run the pass
+    @pytest.mark.parametrize("name", [name for name, spec
+                                      in NAMED_CORPUS + HANDLE_CORPUS
+                                      if spec.vertices])
+    def test_same_bits_on_the_corpus(self, name, corpus_models):
+        arr = corpus_models[name].arrangement
+        assert list(certify_disjointness(arr).entries) == \
+            unscaled_margins(arr)
+
+    @pytest.mark.parametrize("n", [14, 60])
+    def test_same_bits_on_deep_chains(self, n):
+        arr = build(circle_spec((n, n, n)))
+        assert list(certify_disjointness(arr).entries) == \
+            unscaled_margins(arr)
+
+    def test_same_bits_on_the_benchmark_models(self, benchmark_models):
+        for model in benchmark_models.values():
+            arr = model.arrangement
+            assert list(certify_disjointness(arr).entries) == \
+                unscaled_margins(arr)
+
+    def test_deep_chain_past_the_unscaled_range_certifies(self):
+        # the unscaled squares of these distances underflow
+        arr = build(circle_spec((150, 150, 150)))
+        report = certify_disjointness(arr)
+        least, _ = reference_margins(arr)
+        got = as_mpf(report.min_margin)
+        # the float enclosure of sin(pi/3), a relative 2**-53, meets a
+        # cancellation of about 2**-18 in the least margin, so the bound is
+        # a relative 2**-35 below the truth, as at (60,60,60)
+        assert least * (1 - mp.mpf(2) ** -32) <= got <= least
+
+    def test_margins_below_the_double_range(self):
+        # one disk per sector 2**-1100 from the origin, an inner radius
+        # of 2**-1200: every margin but the outer ones is subnormal
+        circles = tuple(
+            PlacedCircle(sector=j, role=CircleRole("removed", 1),
+                         d=Fraction(32 + j, 32 << 1100))
+            for j in range(1, 4))
+        arr = CircleArrangement(
+            mode="circle", k=3, halfwidth=1 - Fraction(1, 1 << 1200),
+            circles=circles, epsilon=Fraction(1, 1 << 1130),
+            precision_bits=128)
+        report = certify_disjointness(arr)
+        least, _ = reference_margins(arr)
+        got = as_mpf(report.min_margin)
+        assert least < mp.mpf(2) ** -1100
+        assert least * (1 - mp.mpf(2) ** -32) <= got <= least
+
+    @pytest.mark.parametrize("d,entry", [
+        (Fraction(1 << 2000), "outer"), (Fraction(1, 1 << 2000), "inner"),
+        (Fraction(0), "inner"), (Fraction(-1, 2), "inner"),
+        (Fraction(-1, 1 << 2000), "inner")])
+    def test_distance_out_of_range_is_a_violation(self, d, entry):
+        arr = build(circle_spec((3, 2, 2)))
+        circles = list(arr.circles)
+        circles[1] = replace(circles[1], d=d)
+        with pytest.raises(MarginViolation) as err:
+            certify_disjointness(replace(arr, circles=tuple(circles)))
+        assert err.value.pair == "%s:1" % entry
+        assert err.value.value <= arr.epsilon
