@@ -20,7 +20,10 @@ coefficient with only the digits its radius proves, and exits 4 as soon as
 a product in the expansion passes a million monomials.  Every subcommand
 that loads a model (verify, plot --model, export, extend) rebuilds it from
 its spec, arrangement and ellipsoid heights, re-certifying each height, and
-exits 4 when a height or the stored file is refused.
+exits 4 when a height or the stored file is refused; verify, export and
+extend also certify the disks' disjointness before they write anything.
+`plot --spec` places the spec's arrangement and draws it, without the
+polynomial.
 
 `verify --oracle-res RxA` sets the uniform part of the sampled oracle's
 grid: R log-spaced radii (ordinates in line mode) and A slices of the sweep
@@ -48,7 +51,8 @@ from .errors import (CountMismatch, DegenerateEvent, EulerMismatch,
 from .graphs import (check_embedded_graph, embedded_graph_from_json,
                      graph_spec_from_json, path_isomorphic, reeb_isomorphic,
                      graph_spec_to_json, validated)
-from .layout import CircleArrangement, certify_disjointness
+from .layout import (CircleArrangement, build_arrangement,
+                     certify_disjointness)
 from .numbers import check_precision_bits, decimal_string, format_rational
 from .oracle import (brute_oracle_reeb, check_membership_sample,
                      membership_check, results_match, smooth_degree_two)
@@ -196,8 +200,8 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     if args.spec:
-        model = synthesize_model(validated(_load_spec(args.spec, None)))
-        arr, dim = model.arrangement, model.spec.dimension
+        vspec = validated(_load_spec(args.spec, None))
+        arr, dim = build_arrangement(vspec), vspec.dimension
     elif args.model:
         model = _load_model(args.model)
         arr, dim = model.arrangement, model.spec.dimension
@@ -219,6 +223,7 @@ def cmd_export(args) -> int:
     if args.precision_bits is not None:
         check_precision_bits(args.precision_bits, "--precision-bits")
     model = _load_model(args.model)
+    certify_disjointness(model.arrangement)
     out = _out_dir(args)
     if args.format == "text":
         text = render_text(model.polynomial, args.precision_bits)
@@ -234,6 +239,7 @@ def cmd_export(args) -> int:
 
 def cmd_extend(args) -> int:
     model = _load_model(args.model)
+    certify_disjointness(model.arrangement)
     artifact = nonsingular_extension(model)
     out = _out_dir(args)
     _write_json(out / "extension.json", artifact.to_json())

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .numbers import decimal_string
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -45,7 +47,8 @@ class MarginViolation(RuntimeError):
     def __init__(self, pair, value):
         self.pair = pair
         self.value = value
-        super().__init__("clearance %s for %s" % (value, pair))
+        super().__init__("clearance %s for %s"
+                         % (decimal_string(value, 12), pair))
 
 
 class DegenerateEvent(RuntimeError):

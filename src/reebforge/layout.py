@@ -100,12 +100,12 @@ from .numbers import (
     check_precision_bits,
     cos_half_sector_bounds,
     dyadic_significant,
-    float_bounds,
     format_rational,
     interval_inf,
     interval_mid,
     interval_precision,
     parse_rational,
+    ratio_bounds,
     sin_half_sector_bounds,
     to_interval,
     turn_bounds,
@@ -612,24 +612,18 @@ TINY_BINADES = 1000
 
 
 def _binary_split(values):
-    """Exponents e and the float64 bounds of the mantissas x * 2**-e of
-    exact rationals x, with 2**(e-1) < |x| < 2**(e+1) when x != 0.  Python's
-    integer division rounds a mantissa a/b to its nearest double m; m is
-    both bounds when it equals a/b, that is when its own ratio n/d has
-    n*b == a*d, and is nudged one ulp down and up otherwise."""
-    exps, mids, exact = [], [], []
+    """Exponents e and the float64 bounds (`ratio_bounds`) of the mantissas
+    x * 2**-e of exact rationals x, with 2**(e-1) < |x| < 2**(e+1) when
+    x != 0."""
+    exps, bounds = [], []
     for x in values:
         p, q = x.numerator, x.denominator
         e = p.bit_length() - q.bit_length()
-        a, b = (p, q << e) if e >= 0 else (p << -e, q)
-        m = a / b
-        n, d = m.as_integer_ratio()
         exps.append(e)
-        mids.append(m)
-        exact.append(n * b == a * d)
-    mids, exact = np.array(mids), np.array(exact)
-    return (np.array(exps), np.where(exact, mids, np.nextafter(mids, -np.inf)),
-            np.where(exact, mids, np.nextafter(mids, np.inf)))
+        bounds.append(ratio_bounds(p, q << e) if e >= 0
+                      else ratio_bounds(p << -e, q))
+    lo, hi = np.array(bounds).reshape(-1, 2).T
+    return np.array(exps), lo, hi
 
 
 def _scaled(exps, lo, hi, top) -> BoxArray:
@@ -650,8 +644,7 @@ def _circle_mode_margins(arr: CircleArrangement, first, second):
     e_d, d_lo, d_hi = _binary_split([c.d for c in arr.circles])
     (e_in, e_out), r_lo, r_hi = _binary_split([arr.inner_radius,
                                                arr.outer_radius])
-    s_lo, s_hi = sin_half_sector_bounds(arr.k)
-    s_box = BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1])
+    s_box = BoxArray.outward(*sin_half_sector_bounds(arr.k))
 
     # each entry runs on its operands over 2**top, top the exponent of the
     # largest, and its lower bound is scaled back exactly at the end
@@ -665,16 +658,13 @@ def _circle_mode_margins(arr: CircleArrangement, first, second):
 
     # two bisectors differ by (sector_i - sector_j) mod k sectors, which is
     # 0, 1 or k - 1 for a near pair, so cos of a pair's angle is enclosed
-    # once per sector offset o, at turn o/k
+    # once per sector offset o that occurs, at turn o/k
     sectors = np.array([c.sector for c in arr.circles])
-    offsets = (sectors[first] - sectors[second]) % arr.k
-    table_lo = np.ones(arr.k)
-    table_hi = np.ones(arr.k)
-    for o in set(offsets.tolist()):
-        (c_lo, c_hi), _ = turn_bounds(Fraction(o, arr.k))
-        table_lo[o] = float_bounds(c_lo)[0]
-        table_hi[o] = float_bounds(c_hi)[1]
-    cos_box = BoxArray(table_lo[offsets], table_hi[offsets])
+    offsets, index = np.unique((sectors[first] - sectors[second]) % arr.k,
+                               return_inverse=True)
+    ends = [turn_bounds(Fraction(o, arr.k))[0] for o in offsets.tolist()]
+    cos_box = BoxArray.outward([lo for lo, _ in ends],
+                               [hi for _, hi in ends])[index]
 
     top_pair = np.maximum(e_d[first], e_d[second])
     di = _scaled(e_d[first], d_lo[first], d_hi[first], top_pair)

@@ -4,17 +4,27 @@ Three layers, cheapest first:
 
 * plain ``Fraction`` arithmetic for every constructed parameter (distances,
   radii ratios, annulus bounds, angles as fractions of a full turn);
-* scalar interval arithmetic at a configurable bit precision (mpmath's
-  ``iv`` context) for one-off certified predicates: the bounds of sin and
-  cos at a fraction of a turn, the placement of a sector chain, the margins
-  of line-mode disk pairs, the factor signs at a suspect membership point
-  and interval expansion coefficients; and for gradients as dual numbers
-  over it;
+* interval arithmetic at a configurable bit precision, through mpmath: the
+  ``iv`` context for one-off certified predicates (the placement of a
+  sector chain, the margins of line-mode disk pairs, the factor signs at a
+  suspect membership point and interval expansion coefficients) and for
+  gradients as dual numbers over it; and libmp intervals for the cos and
+  sin of a fraction of a turn (`turn_cos_sin_mpi`).  Each certified
+  constant is enclosed once: a turn's cos and sin at BOUND_BITS
+  (`_turn_mpi`, read by `turn_bounds`, `turn_mids` and every box
+  constant), and sin(pi/k) and cos(pi/k) as the turn 1/(2k) with guard
+  bits, rounded to dyadic bounds;
 * vectorised float64 intervals with outward rounding (``BoxArray``) for bulk
   certification work: every circle-mode disjointness margin (the pairs in
   one sector or in neighbouring ones and the boundary margins, each run on
   operands scaled by a power of two) and the factor values over each
   ellipsoid's disk cover.
+
+Every exact rational becomes doubles by one rule, `ratio_bounds`: its
+nearest double, from Python's correctly rounded integer division, when
+that is the rational itself, else the two doubles one ulp either side of
+it.  ``BoxArray.exact``, ``BoxArray.outward`` and the scaled mantissas of
+the disjointness pass all go through it.
 
 Nothing in here knows about circles or polynomials.
 """
@@ -30,8 +40,9 @@ from typing import Union
 
 import numpy as np
 from mpmath import iv, mp
-from mpmath.libmp import (from_int, mpi_cos_sin, mpi_div, mpi_mul,
-                          round_ceiling, round_floor)
+from mpmath.libmp import (from_int, mpf_add, mpf_shift, mpi_cos_sin,
+                          mpi_div, mpi_mul, round_ceiling, round_floor,
+                          round_nearest, to_float)
 from mpmath.libmp.libmpi import mpi_pi
 
 Rational = Union[int, Fraction]
@@ -117,36 +128,6 @@ def dyadic_significant(x: Fraction, sig_bits: int) -> Fraction:
     return -dyadic_floor(-x, bits)
 
 
-@lru_cache(maxsize=None)
-def sin_half_sector_bounds(k: int, bits: int = BOUND_BITS) -> tuple[Fraction, Fraction]:
-    """Certified dyadic bounds (lo, hi) for sin(pi/k), the tangency ratio.
-
-    A circle centred on a sector bisector at distance d from the origin is
-    tangent to both bounding rays of the sector exactly when its radius is
-    d*sin(pi/k); every placement predicate reduces to comparisons against
-    this one constant, so it is cached per (k, bits).
-    """
-    if k < 3:
-        raise ValueError("sector count must be at least 3")
-    with interval_precision(bits + 32):
-        s = iv.sin(iv.pi / k)
-        lo = dyadic_floor(interval_inf(s), bits)
-        hi = dyadic_ceil(interval_sup(s), bits)
-    if not (0 < lo <= hi < 1):
-        raise ValueError("tangency ratio bounds out of range")
-    return lo, hi
-
-
-@lru_cache(maxsize=None)
-def cos_half_sector_bounds(k: int, bits: int = BOUND_BITS) -> tuple[Fraction, Fraction]:
-    """Certified dyadic bounds for cos(pi/k)."""
-    with interval_precision(bits + 32):
-        c = iv.cos(iv.pi / k)
-        lo = dyadic_floor(interval_inf(c), bits)
-        hi = dyadic_ceil(interval_sup(c), bits)
-    return lo, hi
-
-
 def parse_rational(text: str) -> Fraction:
     """Accept 'p/q' or a decimal string; return an exact Fraction."""
     text = text.strip()
@@ -213,13 +194,56 @@ def turn_sin_cos(t: Rational):
 
 
 @lru_cache(maxsize=None)
+def _turn_mpi(turn: Fraction):
+    """The libmp (cos, sin) enclosure of a turn at BOUND_BITS, made once per
+    turn for `turn_bounds`, `turn_mids` and the box constants."""
+    return turn_cos_sin_mpi(turn, BOUND_BITS)
+
+
+@lru_cache(maxsize=None)
 def turn_bounds(turn: Fraction) -> tuple[tuple[Fraction, Fraction],
                                          tuple[Fraction, Fraction]]:
     """Certified (cos, sin) bounds of 2*pi*turn at the base bound precision."""
-    with interval_precision(BOUND_BITS):
-        sin_t, cos_t = turn_sin_cos(turn)
-        return ((interval_inf(cos_t), interval_sup(cos_t)),
-                (interval_inf(sin_t), interval_sup(sin_t)))
+    return tuple((_libmp_to_fraction(lo), _libmp_to_fraction(hi))
+                 for lo, hi in _turn_mpi(turn))
+
+
+@lru_cache(maxsize=None)
+def turn_mids(turn: Fraction) -> tuple[float, float]:
+    """Nearest doubles of the exact midpoints of `turn_bounds`: cos and sin
+    of the turn, uncertified."""
+    return tuple(to_float(mpf_shift(mpf_add(lo, hi), -1), rnd=round_nearest)
+                 for lo, hi in _turn_mpi(turn))
+
+
+@lru_cache(maxsize=None)
+def _half_sector_bounds(k: int):
+    if k < 3:
+        raise ValueError("sector count must be at least 3")
+    # pi/k is the turn 1/(2k); 32 guard bits before the dyadic rounding
+    bounds = tuple((dyadic_floor(_libmp_to_fraction(lo), BOUND_BITS),
+                    dyadic_ceil(_libmp_to_fraction(hi), BOUND_BITS))
+                   for lo, hi in turn_cos_sin_mpi(Fraction(1, 2 * k),
+                                                  BOUND_BITS + 32))
+    if not (0 < bounds[1][0] <= bounds[1][1] < 1):
+        raise ValueError("tangency ratio bounds out of range")
+    return bounds
+
+
+def sin_half_sector_bounds(k: int) -> tuple[Fraction, Fraction]:
+    """Certified dyadic bounds (lo, hi) for sin(pi/k), the tangency ratio.
+
+    A circle centred on a sector bisector at distance d from the origin is
+    tangent to both bounding rays of the sector exactly when its radius is
+    d*sin(pi/k); every placement predicate reduces to comparisons against
+    this one constant, enclosed once per k with cos(pi/k).
+    """
+    return _half_sector_bounds(k)[1]
+
+
+def cos_half_sector_bounds(k: int) -> tuple[Fraction, Fraction]:
+    """Certified dyadic bounds for cos(pi/k)."""
+    return _half_sector_bounds(k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +262,22 @@ def _up(a):
     return np.nextafter(a, _POS_INF)
 
 
+def ratio_bounds(num: int, den: int) -> tuple[float, float]:
+    """Float64 bounds (lo, hi) of num/den, for integers num and den > 0.
+    Python's integer division rounds num/den to its nearest double m
+    (OverflowError past the doubles); m is both bounds when it equals
+    num/den, that is when its own ratio n/d has n*den == num*d, and is
+    nudged one ulp down and up otherwise."""
+    m = num / den
+    n, d = m.as_integer_ratio()
+    if n * den == num * d:
+        return m, m
+    return math.nextafter(m, -math.inf), math.nextafter(m, math.inf)
+
+
 def float_bounds(x: Rational) -> tuple[float, float]:
-    """Directed float64 bounds of an exact rational."""
-    f = float(x)
-    if Fraction(f) == Fraction(x):
-        return f, f
-    lo, hi = np.nextafter(f, _NEG_INF), np.nextafter(f, _POS_INF)
-    # one nudge always suffices: float(x) is the nearest double
-    return float(lo), float(hi)
+    """Directed float64 bounds of an exact rational, by `ratio_bounds`."""
+    return ratio_bounds(x.numerator, x.denominator)
 
 
 class BoxArray:
@@ -267,9 +299,18 @@ class BoxArray:
     @classmethod
     def exact(cls, value) -> "BoxArray":
         if isinstance(value, (Fraction, int)):
-            lo, hi = float_bounds(value)
-            return cls(lo, hi)
+            return cls(*float_bounds(value))
         return cls(value)
+
+    @classmethod
+    def outward(cls, lo, hi) -> "BoxArray":
+        """The box from the lower `float_bounds` of lo to the upper ones of
+        hi, for exact rationals lo <= hi, or elementwise for lists of
+        them: it encloses [lo, hi]."""
+        if isinstance(lo, list):
+            return cls([float_bounds(x)[0] for x in lo],
+                       [float_bounds(x)[1] for x in hi])
+        return cls(float_bounds(lo)[0], float_bounds(hi)[1])
 
     def __getitem__(self, key) -> "BoxArray":
         return BoxArray(self.lo[key], self.hi[key])

@@ -14,12 +14,15 @@ removal attaches a handle.
 
 Factors keep exact rational data (distances, turns, heights); the handful
 of irrational constants (cos/sin of rational turns, sin(pi/k)) are produced
-by pluggable constant pools, so one evaluation code, `_factor_value`, runs on
-plain float64 arrays, outward-rounded interval arrays, mpmath intervals,
-dual numbers of mpmath intervals (`_Dual`, whose partials are the gradient of
-`eval_and_gradient`), and sparse monomial dictionaries, which give each
-factor's terms for the expansion; the dual and term pools are `_Lifted`
-scalar pools.  The membership oracle evaluates its factor margins, and
+by pluggable constant pools.  The float and box pools read the one cached
+enclosure `numbers` makes of each turn and of each sin(pi/k): `FloatConsts`
+its midpoints (`turn_mids`), `BoxConsts` its bounds rounded outward by
+`BoxArray.outward`; `IvConsts` encloses them at the caller's precision.  So
+one evaluation code, `_factor_value`, runs on plain float64 arrays,
+outward-rounded interval arrays, mpmath intervals, dual numbers of mpmath
+intervals (`_Dual`, whose partials are the gradient of `eval_and_gradient`),
+and sparse monomial dictionaries, which give each factor's terms for the
+expansion; the dual and term pools are `_Lifted` scalar pools.  The membership oracle evaluates its factor margins, and
 `DiskValues` the factors over the ellipsoids' disks, through the same code.
 
 The expansion (`_expand`) multiplies those terms in an integer kernel.
@@ -75,8 +78,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from mpmath import iv
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_shift, round_nearest,
-                          to_float)
+from mpmath.libmp import from_man_exp
 
 from .errors import ExpansionTooLarge, HeightFailure, ModelMismatch, NoFactors
 from .graphs import (
@@ -87,13 +89,11 @@ from .graphs import (
 )
 from .layout import CircleArrangement, build_arrangement
 from .numbers import (
-    BOUND_BITS,
     DEFAULT_PRECISION_BITS,
     BoxArray,
     check_precision_bits,
     decimal_ball,
     dyadic_significant,
-    float_bounds,
     format_rational,
     interval_inf,
     interval_precision,
@@ -102,7 +102,7 @@ from .numbers import (
     sin_half_sector_bounds,
     to_interval,
     turn_bounds,
-    turn_cos_sin_mpi,
+    turn_mids,
     turn_sin_cos,
 )
 
@@ -250,13 +250,7 @@ class FloatConsts:
     def lift(self, fr: Fraction):
         return float(fr)
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def turn_cos_sin(turn: Fraction):
-        # the exact midpoint of the BOUND_BITS endpoints, rounded once
-        return tuple(
-            to_float(mpf_shift(mpf_add(lo, hi), -1), rnd=round_nearest)
-            for lo, hi in turn_cos_sin_mpi(turn, BOUND_BITS))
+    turn_cos_sin = staticmethod(turn_mids)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -275,15 +269,12 @@ class BoxConsts:
     @staticmethod
     @lru_cache(maxsize=None)
     def turn_cos_sin(turn: Fraction):
-        (c_lo, c_hi), (s_lo, s_hi) = turn_bounds(turn)
-        return (BoxArray(float_bounds(c_lo)[0], float_bounds(c_hi)[1]),
-                BoxArray(float_bounds(s_lo)[0], float_bounds(s_hi)[1]))
+        return tuple(BoxArray.outward(lo, hi) for lo, hi in turn_bounds(turn))
 
     @staticmethod
     @lru_cache(maxsize=None)
     def sin_half(k: int):
-        lo, hi = sin_half_sector_bounds(k)
-        return BoxArray(float_bounds(lo)[0], float_bounds(hi)[1])
+        return BoxArray.outward(*sin_half_sector_bounds(k))
 
 
 class IvConsts:
@@ -479,13 +470,11 @@ def _disk_cells(disks: Sequence[Factor], n: int):
     disks' bounding boxes, keeping the cells that may meet each closed
     disk, concatenated in order; and the offset of each disk's first cell,
     then their total."""
-    ends = np.array([[float_bounds(x_lo)[0], float_bounds(x_hi)[1],
-                      float_bounds(y_lo)[0], float_bounds(y_hi)[1]]
-                     for x_lo, x_hi, y_lo, y_hi in map(_disk_planar_box, disks)
-                     ]).reshape(-1, 4)
+    x_lo, x_hi, y_lo, y_hi = map(list, zip(*map(_disk_planar_box, disks)))
+    x, y = BoxArray.outward(x_lo, x_hi), BoxArray.outward(y_lo, y_hi)
     # array ends give each row the doubles of its own linspace call
-    ex = np.linspace(ends[:, 0], ends[:, 1], n + 1, axis=1)
-    ey = np.linspace(ends[:, 2], ends[:, 3], n + 1, axis=1)
+    ex = np.linspace(x.lo, x.hi, n + 1, axis=1)
+    ey = np.linspace(y.lo, y.hi, n + 1, axis=1)
     bx = BoxArray(np.repeat(ex[:, :-1], n, axis=1),
                   np.repeat(ex[:, 1:], n, axis=1))
     by = BoxArray(np.tile(ey[:, :-1], n), np.tile(ey[:, 1:], n))

@@ -106,14 +106,14 @@ def _graph_inset(result: ReebGraphResult, cx: float, cy: float,
 
 def arrangement_svg(arr: CircleArrangement,
                     result: Optional[ReebGraphResult] = None,
-                    size: int = 640, labels: bool = True) -> str:
+                    size: int = 640) -> str:
     """Render the arrangement, with the swept graph inset when given."""
     if arr.mode == "circle":
-        return _circle_svg(arr, result, size, labels)
-    return _line_svg(arr, result, size, labels)
+        return _circle_svg(arr, result, size)
+    return _line_svg(arr, result, size)
 
 
-def _circle_svg(arr, result, size, labels) -> str:
+def _circle_svg(arr, result, size) -> str:
     outer = float(arr.outer_radius)
     scale = size * 0.42 / outer
     half = size / 2.0
@@ -128,9 +128,8 @@ def _circle_svg(arr, result, size, labels) -> str:
         x1, y1 = _point(t, float(arr.inner_radius) * scale)
         x2, y2 = _point(t, outer * scale)
         parts.append(_line(x1, y1, x2, y2, _STYLE["ray"]))
-        if labels:
-            lx, ly = _point(t, (outer + 0.08) * scale)
-            parts.append(_text(lx, ly, str(j), 10.0))
+        lx, ly = _point(t, (outer + 0.08) * scale)
+        parts.append(_text(lx, ly, str(j), 10.0))
     for c in arr.circles:
         bis = float(arr.bisector_turn(c.sector))
         d = float(c.d)
@@ -151,7 +150,7 @@ def _circle_svg(arr, result, size, labels) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _line_svg(arr, result, size, labels) -> str:
+def _line_svg(arr, result, size) -> str:
     ax, ay = float(arr.ellipse_axes[0]), float(arr.ellipse_axes[1])
     scale = size * 0.42 / max(ax, ay)
     half = size / 2.0
@@ -166,8 +165,7 @@ def _line_svg(arr, result, size, labels) -> str:
         reach = ay * math.sqrt(max(0.0, 1.0 - (w / ax) ** 2)) if abs(w) < ax else 0.0
         top = max(reach * scale, 6.0)
         parts.append(_line(w * scale, -top, w * scale, top, _STYLE["ray"]))
-        if labels:
-            parts.append(_text(w * scale + 2.0, top + 10.0, str(i + 1), 10.0))
+        parts.append(_text(w * scale + 2.0, top + 10.0, str(i + 1), 10.0))
     for c in arr.circles:
         cx, cy = float(c.center[0]), float(c.center[1])
         parts.append(_circle(cx * scale, -cy * scale, float(c.radius) * scale,

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
@@ -11,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from reebforge import layout
+from reebforge import cli, layout
 from reebforge.cli import main
+from reebforge.errors import MarginViolation
+from reebforge.layout import certify_disjointness
+from reebforge.numbers import decimal_string
+from reebforge.poly import SurfaceModel
 
 THETA_GRAPH = {
     "vertices": [{"id": 0, "angle": "0/1 of 2pi"},
@@ -156,6 +161,37 @@ def mutated(value):
         p, q = value.split("/")
         return "%d/%s" % (int(p) + 1, q)
     return KIND_SWAP[value]
+
+
+@pytest.fixture(scope="module")
+def m322_model(tmp_path_factory):
+    """model.json of the cycle (3, 2, 2): two disks in sector 1."""
+    out = synthesized(tmp_path_factory.mktemp("m322"), mults=(3, 2, 2))
+    return json.loads((out / "model.json").read_text())
+
+
+def disk_moved(data, tmp_path, edit):
+    """A copy of `data` with one removed disk moved, in the arrangement and
+    in the polynomial alike, written to model.json; and the entry whose
+    clearance refuses it.  "overlap" puts sector 1's second disk at 101/100
+    of the first one's d, "far" the largest disk at d = 2**2000."""
+    data = copy.deepcopy(data)
+    circles = data["arrangement"]["circles"]
+    if edit == "overlap":
+        i, label = 1, "pair:0:1"
+        d = Fraction(circles[0]["d"]) * Fraction(101, 100)
+    else:
+        i = max(range(len(circles)), key=lambda i: Fraction(circles[i]["d"]))
+        label, d = "outer:%d" % i, Fraction(1 << 2000)
+    old, new = circles[i]["d"], "%d/%d" % (d.numerator, d.denominator)
+    circles[i]["d"] = new
+    for stage in data["polynomial"]["stages"]:
+        for factor in stage["factors"]:
+            if factor.get("d") == old:
+                factor["d"] = new
+    path = tmp_path / "model.json"
+    write_json(path, data)
+    return path, label
 
 
 class TestSynthesize:
@@ -533,6 +569,43 @@ print(code, "numpy.ma" in sys.modules)
 """
 
 
+class TestRefusedDisks:
+    """Every command that writes from a model certifies the disks'
+    disjointness first."""
+
+    @pytest.mark.parametrize("edit", ["overlap", "far"])
+    @pytest.mark.parametrize("command", ["export", "extend"])
+    def test_export_and_extend_write_nothing(self, tmp_path, capsys,
+                                             m322_model, edit, command):
+        path, label = disk_moved(m322_model, tmp_path, edit)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--model", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("certification failed: clearance -")
+        assert err.rstrip().endswith("for %s" % label)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit", ["overlap", "far"])
+    def test_clearance_prints_twelve_digits(self, tmp_path, capsys,
+                                            m322_model, edit):
+        path, label = disk_moved(m322_model, tmp_path, edit)
+        capsys.readouterr()
+        assert main(["verify", "--model", str(path), "--points", "2000"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("certification failed: clearance -")
+        assert err.count("\n") == 1 and len(err) < 80, err
+        assert err.rstrip().endswith("for %s" % label)
+        # the exception keeps the exact value it prints in short
+        arr = SurfaceModel.from_json(json.loads(path.read_text())).arrangement
+        with pytest.raises(MarginViolation) as caught:
+            certify_disjointness(arr)
+        value = caught.value.value
+        assert type(value) is Fraction and value < 0
+        assert str(caught.value) == "clearance %s for %s" % (
+            decimal_string(value, 12), label)
+
+
 class TestColdVerify:
     @pytest.mark.parametrize("kw", [
         {"mults": random.Random(64).sample([2] * 32 + [3] * 32, 64)},
@@ -557,6 +630,20 @@ class TestPlot:
         assert main(["plot", "--spec", str(spec), "--out", str(out)]) == 0
         svg = (out / "plot.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_from_spec_skips_the_polynomial(self, tmp_path, monkeypatch):
+        model = synthesized(tmp_path, **M5_HANDLE)
+        assert main(["plot", "--model", str(model / "model.json"),
+                     "--out", str(tmp_path / "p1")]) == 0
+
+        def refuse(spec):
+            raise AssertionError("plot --spec synthesized the model")
+
+        monkeypatch.setattr(cli, "synthesize_model", refuse)
+        assert main(["plot", "--spec", str(tmp_path / "spec.json"),
+                     "--out", str(tmp_path / "p2")]) == 0
+        assert ((tmp_path / "p1" / "plot.svg").read_bytes()
+                == (tmp_path / "p2" / "plot.svg").read_bytes())
 
     def test_from_model_and_arrangement(self, tmp_path):
         out = synthesized(tmp_path)
@@ -705,7 +792,47 @@ class TestCheckGraph:
         assert "FAIL" in capsys.readouterr().out
 
 
+CROSS_PROCESS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from reebforge.cli import main
+for spec in sys.argv[3:]:
+    out = "%s/%s/" % (sys.argv[2], spec.rsplit("/", 1)[-1])
+    model = out + "syn/model.json"
+    codes = [main(["synthesize", "--spec", spec, "--out", out + "syn"]),
+             main(["verify", "--model", model, "--points", "2000",
+                   "--out", out + "verify"]),
+             main(["plot", "--model", model, "--out", out + "plot"])]
+    print(spec, codes)
+"""
+
+
 class TestDeterminism:
+    def test_byte_identical_across_processes(self, tmp_path):
+        # fresh interpreters with different string hashes start with every
+        # constant cache cold
+        specs = [spec_file(tmp_path, (2, 3, 2), name="circle.json"),
+                 spec_file(tmp_path, name="handle.json", **M5_HANDLE),
+                 spec_file(tmp_path, (1, 3, 2, 1), "line", name="line.json")]
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", CROSS_PROCESS, str(src),
+             str(tmp_path / seed)] + [str(spec) for spec in specs],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            for seed in ("1", "2")]
+        for run in runs:
+            printed = run.communicate(timeout=300)[0]
+            assert printed.count("[0, 0, 0]") == 3, printed
+        files = sorted(p.relative_to(tmp_path / "1")
+                       for p in (tmp_path / "1").rglob("*") if p.is_file())
+        assert len(files) == 15
+        assert {p.name for p in files} == {
+            "model.json", "arrangement.json", "certificate.json", "plot.svg"}
+        for rel in files:
+            assert ((tmp_path / "1" / rel).read_bytes()
+                    == (tmp_path / "2" / rel).read_bytes()), rel
+
     def test_byte_identical_artifacts(self, tmp_path):
         first = synthesized(tmp_path)
         spec = tmp_path / "spec.json"

@@ -1,15 +1,21 @@
-"""Exact endpoints of mpmath intervals, the sine and cosine of a turn,
-and turns reduced to [0, 1)."""
+"""Exact endpoints of mpmath intervals, the sine and cosine of a turn and
+of half a sector, the float64 bounds of a rational, and turns reduced to
+[0, 1)."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import iv
 
 from reebforge.numbers import (BOUND_BITS, TurnAngle, _libmp_to_fraction,
-                               interval_inf, interval_precision,
-                               interval_sup, to_interval, turn_sin_cos)
+                               cos_half_sector_bounds, dyadic_ceil,
+                               dyadic_floor, float_bounds, interval_inf,
+                               interval_precision, interval_sup,
+                               ratio_bounds, sin_half_sector_bounds,
+                               to_interval, turn_sin_cos)
 from reebforge.poly import FloatConsts
 
 
@@ -94,3 +100,94 @@ class TestTurnAngle:
     def test_keeps_a_turn_already_reduced(self):
         turn = Fraction(3, 8)
         assert TurnAngle(turn).turns is turn
+
+
+def is_double(x: Fraction) -> bool:
+    """Whether x is a finite float64: |x| = odd * 2**e with odd < 2**53,
+    e >= -1074 and |x| < 2**1024."""
+    if x == 0:
+        return True
+    num, den = abs(x.numerator), x.denominator
+    if den & (den - 1):
+        return False
+    e = -(den.bit_length() - 1)
+    while not num & 1:
+        num, e = num >> 1, e + 1
+    return num < 1 << 53 and e >= -1074 and num.bit_length() + e <= 1024
+
+
+DOUBLE_MAX = Fraction(2 ** 1024 - 2 ** 971)
+# the least magnitude that rounds to nearest past DOUBLE_MAX, a tie
+ROUNDS_PAST = DOUBLE_MAX + Fraction(2 ** 970)
+
+RATIONALS = (
+    st.builds(Fraction, st.integers(-(1 << 3000), 1 << 3000),
+              st.integers(1, 1 << 3000))
+    # the subnormal range and just above it, and doubles themselves
+    | st.builds(lambda n, e: Fraction(n, 1 << e),
+                st.integers(-(1 << 60), 1 << 60), st.integers(1000, 1140))
+    | st.floats(allow_nan=False, allow_infinity=False).map(Fraction))
+
+
+class TestRatioBounds:
+    """`ratio_bounds` (and `float_bounds`, which reads it) bound a rational
+    by the two neighbours of its nearest double, or by that double alone
+    when it is the rational itself."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(RATIONALS)
+    @example(Fraction(1, 3))
+    @example(Fraction(-1, 1 << 1200))              # rounds to -0.0
+    @example(Fraction(3, 1 << 1076))               # halfway, subnormal
+    @example(DOUBLE_MAX + Fraction(2 ** 969))      # rounds to the largest
+    def test_encloses_by_the_nearest_double(self, x):
+        if abs(x) >= ROUNDS_PAST:
+            with pytest.raises(OverflowError):
+                ratio_bounds(x.numerator, x.denominator)
+            return
+        lo, hi = ratio_bounds(x.numerator, x.denominator)
+        assert (lo, hi) == float_bounds(x)
+        assert type(lo) is float and type(hi) is float
+        assert Fraction(lo) <= x
+        assert math.isinf(hi) or x <= Fraction(hi)
+        assert (lo == hi) == is_double(x)
+        if is_double(x):
+            assert Fraction(lo) == x
+            return
+        mid = math.nextafter(lo, math.inf)
+        assert hi == math.nextafter(mid, math.inf)
+        gap = abs(x - Fraction(mid))
+        assert gap <= x - Fraction(lo)
+        assert math.isinf(hi) or gap <= Fraction(hi) - x
+
+    @pytest.mark.parametrize("x", [
+        Fraction(2 ** 1024), -Fraction(2 ** 1024) - Fraction(1, 3),
+        ROUNDS_PAST, -ROUNDS_PAST, Fraction(3, 1) ** 700])
+    def test_past_the_doubles_overflows(self, x):
+        with pytest.raises(OverflowError):
+            ratio_bounds(x.numerator, x.denominator)
+
+
+def iv_half_sector_bounds(k: int):
+    """The dyadic (cos, sin) bounds of pi/k by `iv.cos(iv.pi / k)` and
+    `iv.sin(iv.pi / k)` at BOUND_BITS + 32 bits, as they were made before
+    both came from one enclosure of the turn 1/(2k)."""
+    with interval_precision(BOUND_BITS + 32):
+        ends = [(interval_inf(v), interval_sup(v))
+                for v in (iv.cos(iv.pi / k), iv.sin(iv.pi / k))]
+    return tuple((dyadic_floor(lo, BOUND_BITS), dyadic_ceil(hi, BOUND_BITS))
+                 for lo, hi in ends)
+
+
+class TestHalfSectorBounds:
+    def test_equal_the_iv_route(self):
+        ks = list(range(3, 2001)) + random.Random(10000).sample(
+            range(2001, 10001), 200)
+        for k in ks:
+            assert (cos_half_sector_bounds(k), sin_half_sector_bounds(k)) \
+                == iv_half_sector_bounds(k), k
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
+    def test_fewer_than_three_sectors_refused(self, k):
+        with pytest.raises(ValueError):
+            sin_half_sector_bounds(k)
